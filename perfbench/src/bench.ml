@@ -4,7 +4,10 @@
    run's open-loop stream is also replayed in-process with spans, and
    the per-layer metrics are printed instead of the end-to-end ones. *)
 
-let setup_reps = 11
+(* set-up is timed once for the server that serves the run and
+   [spare_setups] times each before and after the measured phases *)
+let spare_setups = 10
+let spare_gap_s = 0.2
 let open_share = 0.65
 
 (* the generator is behind its schedule when its p99 lag exceeds this *)
@@ -30,17 +33,29 @@ let say fmt = Printf.printf ("# " ^^ fmt ^^ "\n%!")
 
 let read_file p = try Some (In_channel.with_open_bin p In_channel.input_all) with Sys_error _ -> None
 
+(* The sha of HEAD, from a loose ref or from [.git/packed-refs]. *)
 let git_sha () =
+  let packed r =
+    Option.bind (read_file ".git/packed-refs") (fun s ->
+        List.find_map
+          (fun l ->
+            match String.split_on_char ' ' (String.trim l) with
+            | [ sha; name ] when name = r -> Some sha
+            | _ -> None)
+          (String.split_on_char '\n' s))
+  in
   match Option.map String.trim (read_file ".git/HEAD") with
   | None -> "none (not a git checkout)"
   | Some h when String.starts_with ~prefix:"ref: " h -> (
       let r = String.sub h 5 (String.length h - 5) in
       match read_file (Filename.concat ".git" r) with
       | Some s -> String.trim s
-      | None -> h)
+      | None -> Option.value ~default:"unknown" (packed r))
   | Some h -> h
 
-(* A digest of the library sources, for checkouts without git. *)
+(* A digest of the library sources: the benchmark also runs from
+   exported checkouts that have no .git, where it is the only record of
+   the code that was measured. *)
 let source_digest () =
   let rec files dir =
     Sys.readdir dir |> Array.to_list |> List.sort compare
@@ -103,44 +118,25 @@ let m ?(samples = 0) name unit_ value = { name; value; unit_; samples }
 
 let kinds = [ Openloop.Commit; Pull; View ]
 
-(* Latency from the due time.  The tail is taken per window of the
-   phase (consecutive runs of at least [window_samples] requests by due
-   time) and the median over at most [max_windows] windows is reported,
-   so that the disk's periodic stalls, which hit a few windows of a
-   run, do not decide its tail. *)
-let window_samples = 300
-let max_windows = 20
-
+(* Latency from the due time, over the kind's open-loop requests. *)
 let latency_metrics (reqs : Load.req list) kind =
   let k = Openloop.kind_name kind in
   let lat =
     List.filter (fun (r : Load.req) -> r.kind = kind) reqs
-    |> List.sort (fun (a : Load.req) b -> compare a.due b.due)
     |> List.map (fun (r : Load.req) ->
            Openloop.latency ~due:r.due ~finished:r.t_done ~ok:(r.failure = None))
-    |> Array.of_list
+    |> Array.of_list |> Tail.sorted
   in
   let n = Array.length lat in
   if n = 0 then []
-  else
-    let windows = max 1 (min max_windows (n / window_samples)) in
-    let tails =
-      Array.init windows (fun i ->
-          let lo = i * n / windows and hi = (i + 1) * n / windows in
-          let w = Tail.sorted (Array.sub lat lo (hi - lo)) in
-          match Tail.tail w with
-          | Some t -> (t.value, t.pct)
-          | None -> (w.(Array.length w - 1), 100.))
-    in
-    let pcts = Array.map snd tails |> Tail.sorted in
-    say "%s tail: median over %d windows of p%.2f..p%.2f (%d samples)" k windows
-      pcts.(0) pcts.(windows - 1) n;
+  else begin
     (* tails did not repeat within 25% from run to run on a shared
        2-core machine: they are reported, not gated *)
-    say "%s_p99_us = %s us (n=%d)" k
-      (json_number (Tail.quantile (Tail.sorted (Array.map fst tails)) 0.5))
-      n;
-    [ m ~samples:n (k ^ "_p50_us") "us" (Tail.quantile (Tail.sorted lat) 0.5) ]
+    (match Tail.tail lat with
+    | Some t -> say "%s_p99_us = %s us (n=%d, p%.2f, %d beyond)" k (json_number t.value) n t.pct t.beyond
+    | None -> say "%s_p99_us: fewer than 11 samples (n=%d)" k n);
+    [ m ~samples:n (k ^ "_p50_us") "us" (Tail.quantile lat 0.5) ]
+  end
 
 let mean_of f xs =
   if xs = [] then 0. else List.fold_left (fun a x -> a +. f x) 0. xs /. float (List.length xs)
@@ -273,30 +269,45 @@ let run ~(w : Gen.workload) ~seed ~seconds ~trace : int =
       rm_rf base)
     (fun () ->
       mkdir_p base;
-      (* set up several times; the last set-up serves the run *)
-      let setups =
-        List.init setup_reps (fun rep ->
-            if rep > 0 then ignore (stop ());
-            rm_rf server_dir;
-            let t0 = Clock.now_us () in
-            let c = Child.spawn ~workload:w.name ~seed ~addr ~dir:server_dir in
-            child := Some c;
-            let gens = Gen.sessions w ~seed in
-            let l = Load.create ~addr:c.addr ~conns:Gen.conns gens in
-            load := Some l;
-            Load.hello l;
-            (Clock.now_us () -. t0) /. 1e6)
+      let set_up ~dir ~addr =
+        rm_rf dir;
+        let t0 = Clock.now_us () in
+        let c = Child.spawn ~workload:w.name ~seed ~addr ~dir in
+        child := Some c;
+        let l = Load.create ~addr:c.addr ~conns:Gen.conns (Gen.sessions w ~seed) in
+        load := Some l;
+        Load.hello l;
+        (Clock.now_us () -. t0) /. 1e6
       in
+      (* Set-ups that serve nothing, [spare_gap_s] apart: the machine's
+         speed changes over about a second, so set-ups made back to back
+         would all see one moment of it. *)
+      let spares () =
+        List.init spare_setups (fun _ ->
+            let t =
+              set_up ~dir:(Filename.concat base "spare") ~addr:("unix:" ^ Filename.concat base "spare.sock")
+            in
+            ignore (stop ());
+            Unix.sleepf spare_gap_s;
+            t)
+      in
+      let before = spares () in
+      let serving = set_up ~dir:server_dir ~addr in
       let l = Option.get !load in
       let disk0 = Replay.disk_bytes server_dir in
       let rng = Random.State.make [| seed; 0x09e7 |] in
       let lags = Load.open_loop l w ~rng ~duration_us:(seconds *. open_share *. 1e6) in
       let open_reqs = l.finished in
+      (* the seed and the rate fix the open loop's commits, and the
+         server's memory grows with commits: its peak is read here, not
+         after the closed loop, whose commits grow with capacity *)
+      let rss_kb = Child.max_rss_kb (Option.get !child).pid in
       let capacity = Load.closed_loop l w ~duration_us:(seconds *. (1. -. open_share) *. 1e6) in
       Load.final l;
       let st =
         match stop () with Some st -> st | None -> failwith "server exited without its stats"
       in
+      let setups = Array.of_list (before @ (serving :: spares ())) in
       let reqs = l.finished in
       let gen_lag_p99 =
         if Array.length lags = 0 then 0. else Tail.quantile (Tail.sorted lags) 0.99
@@ -345,12 +356,12 @@ let run ~(w : Gen.workload) ~seed ~seconds ~trace : int =
           end
           else
             let open_phase = List.filter (fun (r : Load.req) -> r.phase = Open) reqs in
-            [ m ~samples:setup_reps "setup_s" "s" (Tail.quantile (Tail.sorted (Array.of_list setups)) 0.5) ]
+            [ m ~samples:(Array.length setups) "setup_s" "s" (Tail.quantile (Tail.sorted setups) 0.5) ]
             @ List.concat_map (latency_metrics open_phase) kinds
             @ [
                 m ~samples:(List.length (List.filter (fun (r : Load.req) -> r.phase = Closed) reqs))
                   "capacity_ops_s" "1/s" capacity;
-                m "server_rss_mb" "MB" (float st.max_rss_kb /. 1024.);
+                m "server_rss_mb" "MB" (float rss_kb /. 1024.);
               ]
         in
         List.iter

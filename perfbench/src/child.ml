@@ -13,11 +13,11 @@ type stats = {
   overloads : int;
   cpu_s : float;  (** user + system time of the child *)
   wall_s : float;  (** from the child's start to its drain *)
-  max_rss_kb : int;
 }
 
-let max_rss_kb () =
-  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+(* The process's peak RSS so far (VmHWM), 0 where /proc has none. *)
+let max_rss_kb pid =
+  match In_channel.with_open_text (Printf.sprintf "/proc/%d/status" pid) In_channel.input_all with
   | exception Sys_error _ -> 0
   | s ->
       List.find_map
@@ -42,11 +42,10 @@ let serve ~workload ~seed ~addr ~dir =
   Transport.Server.run srv;
   let st = Transport.Core.stats (Transport.Server.core srv) in
   let tm = Unix.times () in
-  Printf.printf "stats %d %d %d %d %.6f %.6f %d\n%!" (Store.version store)
+  Printf.printf "stats %d %d %d %d %.6f %.6f\n%!" (Store.version store)
     st.executed st.dedup_hits st.overloads
     (tm.Unix.tms_utime +. tm.tms_stime)
-    (Unix.gettimeofday () -. t0)
-    (max_rss_kb ());
+    (Unix.gettimeofday () -. t0);
   Store.close store
 
 type t = { pid : int; out : in_channel; addr : Unix.sockaddr }
@@ -77,9 +76,9 @@ let stop t : stats option =
   let st =
     match input_line t.out with
     | line ->
-        Scanf.sscanf_opt line "stats %d %d %d %d %f %f %d"
-          (fun head executed dedup_hits overloads cpu_s wall_s max_rss_kb ->
-            { head; executed; dedup_hits; overloads; cpu_s; wall_s; max_rss_kb })
+        Scanf.sscanf_opt line "stats %d %d %d %d %f %f"
+          (fun head executed dedup_hits overloads cpu_s wall_s ->
+            { head; executed; dedup_hits; overloads; cpu_s; wall_s })
     | exception End_of_file -> None
   in
   close_in t.out;

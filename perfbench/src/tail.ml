@@ -1,7 +1,7 @@
 (* Percentiles by nearest rank, and the tail rule the benchmark reports
-   by: a tail is p99 only when at least [min_beyond] samples lie beyond
-   it; otherwise it is the highest percentile that still has
-   [min_beyond] samples beyond it. *)
+   by: a tail is p99 only when at least 10 samples lie beyond it;
+   otherwise it is the highest percentile that still has 10 samples
+   beyond it. *)
 
 let sorted (xs : float array) : float array =
   let a = Array.copy xs in
@@ -20,10 +20,11 @@ type t = {
   beyond : int;  (** samples strictly above it in rank *)
 }
 
-(* [s] must be sorted; [None] when fewer than [min_beyond + 1] samples *)
-let tail ?(p = 0.99) ?(min_beyond = 10) (s : float array) : t option =
+(* [s] must be sorted; [None] when there are 10 samples or fewer *)
+let tail (s : float array) : t option =
+  let min_beyond = 10 in
   let n = Array.length s in
   if n <= min_beyond then None
   else
-    let i = min (rank n p) (n - 1 - min_beyond) in
+    let i = min (rank n 0.99) (n - 1 - min_beyond) in
     Some { value = s.(i); pct = 100. *. float (i + 1) /. float n; beyond = n - 1 - i }

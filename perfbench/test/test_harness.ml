@@ -1,5 +1,6 @@
 (* The benchmark harness's own arithmetic: the tail rule, self times,
-   open-loop latency accounting, and what counts as a failed request. *)
+   open-loop latency accounting, and what counts as a failed request;
+   and the git sha its provenance line records. *)
 
 open Esm_perfbench
 open Esm_sync
@@ -127,6 +128,31 @@ let test_outcomes () =
     | Error m -> m
     | Ok () -> "ok")
 
+(* HEAD's sha from a loose ref, else from packed-refs, else "unknown" *)
+let test_git_sha () =
+  let dir = Filename.temp_dir "perfbench" "" in
+  let write p s = Out_channel.with_open_bin (Filename.concat dir p) (fun oc -> output_string oc s) in
+  Sys.mkdir (Filename.concat dir ".git") 0o755;
+  Sys.mkdir (Filename.concat dir ".git/refs") 0o755;
+  Sys.mkdir (Filename.concat dir ".git/refs/heads") 0o755;
+  write ".git/HEAD" "ref: refs/heads/main\n";
+  let cwd = Sys.getcwd () in
+  Sys.chdir dir;
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir cwd;
+      Bench.rm_rf dir)
+    (fun () ->
+      Alcotest.(check string) "in neither" "unknown" (Bench.git_sha ());
+      write ".git/packed-refs"
+        "# pack-refs with: peeled fully-peeled sorted\n\
+         1111111111111111111111111111111111111111 refs/heads/dev\n\
+         2222222222222222222222222222222222222222 refs/heads/main\n";
+      Alcotest.(check string) "packed" "2222222222222222222222222222222222222222" (Bench.git_sha ());
+      write ".git/refs/heads/main" "3333333333333333333333333333333333333333\n";
+      Alcotest.(check string) "loose wins" "3333333333333333333333333333333333333333"
+        (Bench.git_sha ()))
+
 let () =
   Alcotest.run "perfbench"
     [
@@ -147,4 +173,5 @@ let () =
           Alcotest.test_case "stall inflates later latency" `Quick test_stall;
           Alcotest.test_case "failures" `Quick test_outcomes;
         ] );
+      ("provenance", [ Alcotest.test_case "git sha" `Quick test_git_sha ]);
     ]
