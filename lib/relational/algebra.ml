@@ -18,17 +18,40 @@ let projection_indices (schema : Schema.t) (columns : string list) : int array =
 let project_row (indices : int array) (r : Row.t) : Row.t =
   Array.map (fun i -> r.(i)) indices
 
+(* Does the projection keep the source's leading columns, in order?
+   Rows sort lexicographically, so such a projection of sorted rows is
+   still sorted, with any duplicates adjacent. *)
+let keeps_prefix (indices : int array) : bool =
+  let rec go i = i >= Array.length indices || (indices.(i) = i && go (i + 1)) in
+  go 0
+
+let normalise_rows ~(sorted : bool) (rows : Row.t array) : Row.t array =
+  if not sorted then
+    Array.of_list (List.sort_uniq Row.compare (Array.to_list rows))
+  else
+    let n = Array.length rows in
+    if n < 2 then rows
+    else begin
+      (* compact in place: [rows] belongs to the caller's fresh build *)
+      let k = ref 1 in
+      for i = 1 to n - 1 do
+        if Row.compare rows.(i) rows.(!k - 1) <> 0 then begin
+          rows.(!k) <- rows.(i);
+          incr k
+        end
+      done;
+      if !k = n then rows else Array.sub rows 0 !k
+    end
+
 let project (columns : string list) (t : Table.t) : Table.t =
   let schema = Table.schema t in
   let schema' = Schema.project schema columns in
   let indices = projection_indices schema columns in
   (* Projection of conforming rows conforms by construction, but can
      introduce duplicates and break the sort order: renormalise only. *)
-  let projected =
-    List.sort_uniq Row.compare
-      (Array.to_list (Array.map (project_row indices) (Table.row_array t)))
-  in
-  Table.of_sorted_array_unchecked schema' (Array.of_list projected)
+  Table.of_sorted_array_unchecked schema'
+    (normalise_rows ~sorted:(keeps_prefix indices)
+       (Array.map (project_row indices) (Table.row_array t)))
 
 let rename (mapping : (string * string) list) (t : Table.t) : Table.t =
   (* Renaming changes no row values, so the sorted array is shared. *)

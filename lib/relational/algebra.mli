@@ -2,6 +2,21 @@
 
 val select : Pred.t -> Table.t -> Table.t
 val project : string list -> Table.t -> Table.t
+(** When the kept columns are the schema's leading prefix, in order, the
+    projected rows are already sorted: only adjacent duplicates are
+    dropped, with no re-sort. *)
+
+val projection_indices : Schema.t -> string list -> int array
+(** Source positions of the named columns, in the order given. *)
+
+val keeps_prefix : int array -> bool
+(** Are these positions [0, 1, ..., k-1] — the schema's leading
+    columns, in order? *)
+
+val normalise_rows : sorted:bool -> Row.t array -> Row.t array
+(** Rows as a sorted, distinct array.  [~sorted:true] promises the input
+    is already sorted by {!Row.compare}, so only adjacent duplicates are
+    dropped, compacting the caller's fresh array in place. *)
 
 val rename : (string * string) list -> Table.t -> Table.t
 (** Rename columns per the (old, new) mapping. *)

@@ -98,7 +98,10 @@ val to_lens :
   (Table.t, Table.t) Esm_lens.Lens.t
 (** [schema] is the base-table schema, [key] the columns identifying
     rows (used by project's [put] to restore dropped values; renamed
-    along with everything else by [rename] stages).
+    along with everything else by [rename] stages).  The lens is
+    [Rlens.lens_of_dlens (to_dlens ~schema ~key q)], named
+    ["view: <q>"]: its [put] runs {!Rlens.put_delta} on the view's
+    diff, and the full-put pipeline is [(to_dlens ~schema ~key q).lens].
     @raise Not_updatable on unsupported stages or key-dropping selects. *)
 
 val lens_of_string :

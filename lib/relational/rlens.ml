@@ -93,6 +93,9 @@ type projection_plan = {
   column_plan : [ `Kept of int | `Dropped of int * Value.t ] array;
   view_key_indices : int list;
   source_key_indices : int list;
+  keeps_prefix : bool;
+      (** [keep] is the source's leading column prefix, in order:
+          restoring sorted view rows then yields sorted source rows *)
 }
 
 let projection_plan ~(keep : string list) ~(key : string list)
@@ -115,6 +118,8 @@ let projection_plan ~(keep : string list) ~(key : string list)
     column_plan;
     view_key_indices = List.map (Schema.index view_schema) key;
     source_key_indices = List.map (Schema.index source_schema) key;
+    keeps_prefix =
+      Algebra.keeps_prefix (Algebra.projection_indices source_schema keep);
   }
 
 (* Rebuild a source row from a view row, recovering dropped columns from
@@ -153,12 +158,9 @@ let project ~(keep : string list) ~(key : string list)
     let old_by_key = Table.key_index source plan.source_key_indices in
     (* Restored rows conform by construction (values copied from
        conforming rows or per-type defaults); only renormalise. *)
-    let restored =
-      List.sort_uniq Row.compare
-        (Array.to_list
-           (Array.map (restore_row plan old_by_key) (Table.row_array view)))
-    in
-    Table.of_sorted_array_unchecked source_schema (Array.of_list restored)
+    Table.of_sorted_array_unchecked source_schema
+      (Algebra.normalise_rows ~sorted:plan.keeps_prefix
+         (Array.map (restore_row plan old_by_key) (Table.row_array view)))
   in
   Lens.v
     ~name:(Printf.sprintf "project [%s]" (String.concat "," keep))
@@ -451,12 +453,30 @@ let drename (mapping : (string * string) list) : dlens =
     translated through [inner] against the intermediate view, then
     through [outer] against the source. *)
 let dcompose (outer : dlens) (inner : dlens) : dlens =
+  (* The intermediate view, memoized for the last source on its physical
+     witness (tables are immutable, so a hit is exact): a put or a
+     translate right after a get on the same source reuses the view,
+     and the key index built over it, instead of recomputing them. *)
+  let memo = ref None in
+  let mid source =
+    match !memo with
+    | Some (src, view) when src == source -> view
+    | _ ->
+        let view = Lens.get outer.lens source in
+        memo := Some (source, view);
+        view
+  in
   {
-    lens = Lens.compose outer.lens inner.lens;
+    lens =
+      Lens.v
+        ~name:(Lens.name outer.lens ^ " ; " ^ Lens.name inner.lens)
+        ~get:(fun source -> Lens.get inner.lens (mid source))
+        ~put:(fun source view ->
+          Lens.put outer.lens source (Lens.put inner.lens (mid source) view))
+        ();
     translate =
       (fun source vds ->
-        outer.translate source
-          (inner.translate (Lens.get outer.lens source) vds));
+        outer.translate source (inner.translate (mid source) vds));
     pedigree =
       (* composing with the identity base adds nothing to the
          provenance, so keep pipelines flat *)
@@ -466,45 +486,41 @@ let dcompose (outer : dlens) (inner : dlens) : dlens =
     view_cache = None;
   }
 
+(** The pipeline as a plain lens that puts by delta: [get] is
+    {!get_memo}; [put] diffs the new view against the current one and
+    runs {!put_delta}.  The full [dl.lens] put runs instead when the
+    view's schema differs (keeping its shape error) or when the edit
+    script is longer than the current view, where rebuilding is cheaper
+    than editing row by row. *)
+let lens_of_dlens (dl : dlens) : (Table.t, Table.t) Lens.t =
+  let put source view =
+    let cur = get_memo dl source in
+    if not (Schema.equal (Table.schema cur) (Table.schema view)) then
+      Lens.put dl.lens source view
+    else
+      let deltas = Row_delta.diff cur view in
+      if List.length deltas > Table.cardinality cur then
+        Lens.put dl.lens source view
+      else put_delta dl source deltas
+  in
+  Lens.v ~name:(Lens.name dl.lens) ~get:(get_memo dl) ~put ()
+
 (** Pack a delta pipeline as a pedigreed entangled state monad: the A
     side is the source table, the B side the view.  With [delta] (the
-    default), [set_b] actually executes the incremental path — the new
-    view is diffed against the current one and pushed through
-    {!put_delta} — and the pedigree records {!Esm_core.Pedigree.Delta_of}
-    over the combinator pipeline; with [~delta:false] the plain full-put
-    lens is packed under the pipeline pedigree. *)
+    default), the bx runs {!lens_of_dlens}, so [set_b] executes the
+    incremental path, and the pedigree records
+    {!Esm_core.Pedigree.Delta_of} over the combinator pipeline; with
+    [~delta:false] the plain full-put lens is packed under the pipeline
+    pedigree. *)
 let packed_of_dlens ?(delta = true) ~(init : Table.t) (dl : dlens) :
     (Table.t, Table.t) Esm_core.Concrete.packed =
-  let module C = Esm_core.Concrete in
-  let base = C.of_lens dl.lens in
-  let bx =
-    if not delta then base
-    else
-      {
-        base with
-        C.set_b =
-          (fun view source ->
-            let cur = Lens.get dl.lens source in
-            (* removals precede additions, as in [Dml.delta] *)
-            let removes =
-              Table.fold
-                (fun acc r ->
-                  if Table.mem view r then acc else Row_delta.Remove r :: acc)
-                [] cur
-            in
-            let adds =
-              Table.fold
-                (fun acc r ->
-                  if Table.mem cur r then acc else Row_delta.Add r :: acc)
-                [] view
-            in
-            put_delta dl source (List.rev_append removes (List.rev adds)));
-      }
-  in
-  C.pack_pedigreed
+  Esm_core.Concrete.pack_pedigreed
     ~pedigree:
       (if delta then Esm_core.Pedigree.Delta_of dl.pedigree else dl.pedigree)
-    ~bx ~init ~eq_state:Table.equal
+    ~bx:
+      (Esm_core.Concrete.of_lens
+         (if delta then lens_of_dlens dl else dl.lens))
+    ~init ~eq_state:Table.equal
 
 (* ------------------------------------------------------------------ *)
 (* Delta join                                                          *)

@@ -123,16 +123,26 @@ val drename : (string * string) list -> dlens
 
 val dcompose : dlens -> dlens -> dlens
 (** [dcompose outer inner] with [outer] closer to the source (same
-    orientation as {!Esm_lens.Lens.compose}).  Pedigrees compose with
+    orientation as {!Esm_lens.Lens.compose}).  Its [get], [put] and
+    [translate] read the intermediate view through a single-entry memo
+    keyed by the source's physical identity, so a translate after a get
+    on the same source does not recompute it.  Pedigrees compose with
     {!Esm_core.Pedigree.Dcompose} (identity bases are flattened away). *)
+
+val lens_of_dlens : dlens -> (Table.t, Table.t) Esm_lens.Lens.t
+(** The pipeline as a lens that puts by delta, under [dl.lens]'s name.
+    [get] is {!get_memo}.  [put s v] runs {!put_delta} on
+    [Row_delta.diff (get_memo dl s) v], which is relationally equal to
+    the full put.  The full [dl.lens] put runs instead when [v]'s schema
+    differs from the view's (so its {!Esm_lens.Lens.Shape_error} is
+    kept) and when the edit script is longer than the current view. *)
 
 val packed_of_dlens :
   ?delta:bool -> init:Table.t -> dlens -> (Table.t, Table.t) Esm_core.Concrete.packed
 (** Pack the pipeline as a pedigreed entangled state monad (A = source
-    table, B = view).  With [delta] (default), [set_b] diffs the new
-    view against the current one and runs {!put_delta} — the packed
-    pedigree is [Delta_of] the pipeline's; with [~delta:false] the plain
-    full-put lens is packed. *)
+    table, B = view).  With [delta] (default) the bx runs
+    {!lens_of_dlens} — the packed pedigree is [Delta_of] the pipeline's;
+    with [~delta:false] the plain full-put lens is packed. *)
 
 (** {1 Delta join}
 

@@ -14,6 +14,8 @@ val apply : Table.t -> t -> Table.t
     absent row are no-ops. *)
 
 val apply_all : Table.t -> t list -> Table.t
+(** Equal to folding {!apply} over the list (each row ends as its last
+    delta leaves it), built in one pass by {!Table.edit}. *)
 
 val diff : Table.t -> Table.t -> t list
 (** [diff t1 t2]: deltas turning [t1] into [t2], as one merge walk over

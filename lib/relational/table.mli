@@ -53,6 +53,16 @@ val delete : t -> Row.t -> t
 (** Binary search + array splice; absent rows return the table
     physically unchanged. *)
 
+val edit : t -> (bool * Row.t) list -> t
+(** [edit t ops]: a burst of set edits in one pass — [(true, r)]
+    inserts [r], [(false, r)] deletes it.  Equal to applying [ops] one
+    at a time, in order: each row ends as its last operation leaves it,
+    and every inserted row must conform, checked in list order.  The
+    new row array is built once, copying the unchanged stretches in
+    blocks.  A memoized structural hash is carried over; a burst that
+    changes nothing returns the table physically unchanged.  A
+    one-operation burst is {!insert} or {!delete}. *)
+
 val filter : (Row.t -> bool) -> t -> t
 
 val map : Schema.t -> (Row.t -> Row.t) -> t -> t

@@ -2,10 +2,10 @@
     (see [docs/SYNC.md]).
 
     Versions are dense: the [n]-th committed operation has version [n];
-    version [0] is the initial state.  Snapshots pin (version, state)
-    pairs — states are immutable values, so a snapshot is a retained
-    binding, and crash recovery replays only the suffix after the most
-    recent one.
+    version [0] is the initial state.  A snapshot pins a (version,
+    state) pair — states are immutable values, so a snapshot is a
+    retained binding.  Only the most recent snapshot is kept, and crash
+    recovery replays only the suffix after it.
 
     {!compact} drops the prefix at or below the latest snapshot and
     records its version as the {e horizon}: the effects of every
@@ -75,13 +75,14 @@ val snapshot_due : ('op, 's) t -> bool
 (** Is the head version a multiple of the snapshot period? *)
 
 val record_snapshot : ('op, 's) t -> int -> 's -> unit
+(** Replace the latest snapshot; the previous one is not retained. *)
 
 val latest_snapshot : ('op, 's) t -> int * 's
 (** The most recent snapshot — where a crashed store wakes up. *)
 
 val compact : ('op, 's) t -> int
-(** Drop every entry at or below the latest snapshot version and every
-    older snapshot; that version becomes the new horizon.  Returns the
+(** Drop every entry at or below the latest snapshot version; that
+    version becomes the new horizon.  Returns the
     number of entries dropped (0 when the latest snapshot is already
     the horizon — compaction is idempotent).  [head_version] is
     unchanged: compaction never loses operations, only their

@@ -409,6 +409,49 @@ let index_corruption_tests =
            Rel.Table.validate_indexes t));
   ]
 
+(* The served store's B-side commit runs [put_delta] behind
+   [Query.lens_of_string]: a fault injected in the project stage's
+   translate must degrade that commit to the full put, not fail it. *)
+let served_fallback_tests =
+  [
+    test "a faulted served Batch_b commit lands on the full put" `Quick
+      (fun () ->
+        let init = Rel.Workload.employees ~seed:21 ~size:40 in
+        let store : Esm_sync.Wire.rstore =
+          Esm_sync.Store.of_packed ~name:"employees"
+            ~apply_db:Rel.Row_delta.apply_all
+            (Concrete.packed_of_lens ~vwb:false ~init
+               ~eq_state:Rel.Table.equal eng_view_lens)
+        in
+        let view = Esm_sync.Store.view_b store in
+        let deltas =
+          [
+            Rel.Row_delta.Remove (List.hd (Rel.Table.rows view));
+            Rel.Row_delta.Add (fresh_view_row 7);
+          ]
+        in
+        let oracle =
+          Lens.put dl_pipeline.Rel.Rlens.lens init
+            (Rel.Row_delta.apply_all view deltas)
+        in
+        let c = Chaos.make ~rate:1.0 ~seed:chaos_seed () in
+        let before = Chaos.fallbacks_total () in
+        let result =
+          Chaos.with_chaos c (fun () ->
+              Chaos.at_sites [ "rlens.dproject.translate" ] (fun () ->
+                  Esm_sync.Store.commit ~session:"s" store
+                    (Esm_sync.Store.Batch_b deltas)))
+        in
+        (match result with
+        | Ok v -> check Alcotest.int "committed" 1 v
+        | Error e -> Alcotest.failf "commit failed: %s" (Error.message e));
+        check Alcotest.bool "the fault fired" true (Chaos.injected c > 0);
+        check Alcotest.bool "fallback recorded" true
+          (Chaos.fallbacks_total () > before);
+        check Helpers.table "committed state = full put" oracle
+          (Esm_sync.Store.view_a store));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* MDE chaos properties                                                *)
 (* ------------------------------------------------------------------ *)
@@ -453,4 +496,4 @@ let mde_chaos_tests =
 let suite =
   error_tests @ chaos_tests @ atomic_tests
   @ Helpers.q (relational_chaos_tests @ mde_chaos_tests)
-  @ index_corruption_tests
+  @ index_corruption_tests @ served_fallback_tests

@@ -44,6 +44,7 @@ let () =
       ("durable log", Test_durable_log.suite);
       ("shard (gossip + compaction)", Test_shard.suite);
       ("incr (reactive recomputation)", Test_incr.suite);
+      ("served lens (put by delta)", Test_served.suite);
       (* last: registers into the shared catalog (see its header note) *)
       ("esmql (law-checked query front-end)", Test_ql.suite);
     ]

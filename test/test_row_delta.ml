@@ -266,7 +266,94 @@ let table_primitive_tests =
         && Table.find_by_key t ~key [ Value.Int (-1) ] = None);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* One-pass burst application and prefix projection                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A burst over [t]'s rows and a few fresh ones, with repeats, so that
+   one row may be added, removed and re-added within the burst. *)
+let gen_table_and_burst : (Table.t * Row_delta.t list) QCheck.arbitrary =
+  QCheck.make
+    ~print:(fun (t, ds) ->
+      Table.to_string t ^ "\nburst: "
+      ^ String.concat "; " (List.map Row_delta.to_string ds))
+    QCheck.Gen.(
+      let* t = QCheck.gen gen_table in
+      let pool =
+        Array.of_list
+          (Table.rows t @ List.init 4 (fun i -> fresh_row ~id:i ~dept:"Ops"))
+      in
+      let* picks =
+        list_size (int_bound 12)
+          (pair bool (int_bound (Array.length pool - 1)))
+      in
+      return
+        ( t,
+          List.map
+            (fun (add, i) ->
+              if add then Row_delta.Add pool.(i) else Row_delta.Remove pool.(i))
+            picks ))
+
+(* Two-column rows whose leading column repeats: a prefix projection
+   of them has adjacent duplicates to drop. *)
+let pair_schema = Schema.make [ ("a", Value.Tint); ("b", Value.Tint) ]
+
+let gen_pair_table : Table.t QCheck.arbitrary =
+  QCheck.make ~print:Table.to_string
+    QCheck.Gen.(
+      map
+        (fun ps ->
+          Table.of_lists pair_schema
+            (List.map (fun (a, b) -> [ Value.Int a; Value.Int b ]) ps))
+        (list_size (int_bound 20) (pair (int_bound 5) (int_bound 5))))
+
+let project_reference cols t =
+  Table.of_rows
+    (Schema.project (Table.schema t) cols)
+    (List.map (Row.project (Table.schema t) cols) (Table.rows t))
+
+let one_pass_tests =
+  [
+    QCheck.Test.make ~count:300
+      ~name:"apply_all in one pass = folding apply, hash carried exactly"
+      gen_table_and_burst
+      (fun (t, ds) ->
+        ignore (Table.hash t);
+        let one_pass = Row_delta.apply_all t ds in
+        let folded = List.fold_left Row_delta.apply t ds in
+        Table.equal one_pass folded
+        && Table.hash one_pass
+           = Table.hash (Table.of_rows schema (Table.rows one_pass))
+        && (Row_delta.diff t folded <> [] || one_pass == t));
+    QCheck.Test.make ~count:200
+      ~name:"apply_all checks every added row's conformance"
+      gen_table
+      (fun t ->
+        let bad = Row.of_list [ Value.Int 1 ] in
+        let refused ds =
+          match Row_delta.apply_all t ds with
+          | _ -> false
+          | exception Table.Table_error _ -> true
+        in
+        refused [ Row_delta.Add bad; Row_delta.Remove bad ]
+        && refused
+             [
+               Row_delta.Remove bad;
+               Row_delta.Add (fresh_row ~id:1 ~dept:"Ops");
+               Row_delta.Add bad;
+             ]);
+    QCheck.Test.make ~count:300
+      ~name:"project on a leading prefix = the sorting reference"
+      gen_pair_table
+      (fun t ->
+        Table.equal (Algebra.project [ "a" ] t) (project_reference [ "a" ] t)
+        && Table.equal (Algebra.project [ "b" ] t) (project_reference [ "b" ] t)
+        && Table.equal (Algebra.project [ "b"; "a" ] t)
+             (project_reference [ "b"; "a" ] t));
+  ]
+
 let suite =
   Helpers.q
-    (put_delta_tests @ dml_delta_tests @ diff_tests @ table_primitive_tests)
+    (put_delta_tests @ dml_delta_tests @ diff_tests @ table_primitive_tests
+   @ one_pass_tests)
   @ put_delta_unit_tests
