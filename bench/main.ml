@@ -217,8 +217,8 @@ let relational_at size =
   ]
 
 (* The served view lens ([Query.lens_of_string]) puts by delta; a Set_b
-   that replaces the whole view has an edit script longer than the view,
-   so it takes the full put.  Timed beside the full-put pipeline on the
+   that replaces the whole view has an edit script longer than a sixth
+   of the source, so it takes the full put.  Timed beside the full-put pipeline on the
    same input: the fallback must cost no more than the full put. *)
 let served_set_b_at size =
   let q = {|employees | where dept = "Engineering" | select id, name, dept|} in

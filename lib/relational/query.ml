@@ -418,13 +418,17 @@ let to_dlens_uncached ~(schema : Schema.t) ~(key : string list) (q : t) :
 (* The plan cache                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Compiled plans are pure closures over (query, schema, key) — the
-   printer is deterministic and [parse ∘ pp] round-trips, so the
-   printed forms are a faithful cache key.  The cached dlens carries
-   its full [Pedigree.Plan] provenance, so a cache hit reports exactly
-   the law level of its cold-compile twin — memoization can never
-   launder law levels (regression-tested in test/test_incr.ml and the
-   "relational/memoized-plan" catalog entry). *)
+(* Compiled plans are closures over (query, schema, key) — the printer
+   is deterministic and [parse ∘ pp] round-trips, so the printed forms
+   are a faithful cache key.  Their only state is memoized views (the
+   dlens's [view_cache] and each [dcompose] stage's intermediate), which
+   every user of a cached plan shares: a source other than the last one
+   seen is a miss and recomputes, exactly as an uncached plan would.
+   The cached dlens carries its full [Pedigree.Plan] provenance, so a
+   cache hit reports exactly the law level of its cold-compile twin —
+   memoization can never launder law levels (regression-tested in
+   test/test_incr.ml and the "relational/memoized-plan" catalog
+   entry). *)
 let plan_cache : (string * string * string, Rlens.dlens) Hashtbl.t =
   Hashtbl.create 64
 

@@ -448,31 +448,38 @@ let drename (mapping : (string * string) list) : dlens =
     view_cache = None;
   }
 
+(* [f] memoized for its last argument on the physical witness: tables
+   are immutable, so a hit is exact and costs one comparison, and a miss
+   costs what calling [f] costs. *)
+let last_of (f : Table.t -> Table.t) : Table.t -> Table.t =
+  let last = ref None in
+  fun source ->
+    match !last with
+    | Some (src, v) when src == source -> v
+    | _ ->
+        let v = f source in
+        last := Some (source, v);
+        v
+
 (** [dcompose outer inner]: [outer] is closer to the source (same
     orientation as {!Esm_lens.Lens.compose}).  View deltas are first
     translated through [inner] against the intermediate view, then
     through [outer] against the source. *)
 let dcompose (outer : dlens) (inner : dlens) : dlens =
-  (* The intermediate view, memoized for the last source on its physical
-     witness (tables are immutable, so a hit is exact): a put or a
-     translate right after a get on the same source reuses the view,
-     and the key index built over it, instead of recomputing them. *)
-  let memo = ref None in
-  let mid source =
-    match !memo with
-    | Some (src, view) when src == source -> view
-    | _ ->
-        let view = Lens.get outer.lens source in
-        memo := Some (source, view);
-        view
-  in
+  (* [get] and [translate] read the intermediate view through a memo, so
+     a translate right after a get on the same source reuses the view and
+     the key index built over it.  The full [put] recomputes it, as
+     {!Esm_lens.Lens.compose} does: it is {!put_delta}'s fallback oracle,
+     which must not read a memoized table whose index has gone bad. *)
+  let mid = last_of (Lens.get outer.lens) in
   {
     lens =
       Lens.v
         ~name:(Lens.name outer.lens ^ " ; " ^ Lens.name inner.lens)
         ~get:(fun source -> Lens.get inner.lens (mid source))
         ~put:(fun source view ->
-          Lens.put outer.lens source (Lens.put inner.lens (mid source) view))
+          Lens.put outer.lens source
+            (Lens.put inner.lens (Lens.get outer.lens source) view))
         ();
     translate =
       (fun source vds ->
@@ -486,24 +493,30 @@ let dcompose (outer : dlens) (inner : dlens) : dlens =
     view_cache = None;
   }
 
-(** The pipeline as a plain lens that puts by delta: [get] is
-    {!get_memo}; [put] diffs the new view against the current one and
-    runs {!put_delta}.  The full [dl.lens] put runs instead when the
-    view's schema differs (keeping its shape error) or when the edit
-    script is longer than the current view, where rebuilding is cheaper
-    than editing row by row. *)
+(** The pipeline as a plain lens that puts by delta: [get] is the
+    pipeline's get, memoized for the last source on its physical witness
+    (each lens value has its own memo); [put] diffs the new view against
+    the current one and runs {!put_delta}.  The full [dl.lens] put runs
+    instead when the view's schema differs (keeping its shape error) or
+    when the edit script is long for the source, where rebuilding is
+    cheaper than editing row by row. *)
 let lens_of_dlens (dl : dlens) : (Table.t, Table.t) Lens.t =
+  let get = last_of (Lens.get dl.lens) in
   let put source view =
-    let cur = get_memo dl source in
+    let cur = get source in
     if not (Schema.equal (Table.schema cur) (Table.schema view)) then
       Lens.put dl.lens source view
     else
       let deltas = Row_delta.diff cur view in
-      if List.length deltas > Table.cardinality cur then
+      (* One script entry costs the delta path about what five or six
+         source rows cost the full put (docs/PERFORMANCE.md, "When the
+         full put still runs"), so a script longer than a sixth of the
+         source is rebuilt. *)
+      if 6 * List.length deltas > Table.cardinality source then
         Lens.put dl.lens source view
       else put_delta dl source deltas
   in
-  Lens.v ~name:(Lens.name dl.lens) ~get:(get_memo dl) ~put ()
+  Lens.v ~name:(Lens.name dl.lens) ~get ~put ()
 
 (** Pack a delta pipeline as a pedigreed entangled state monad: the A
     side is the source table, the B side the view.  With [delta] (the

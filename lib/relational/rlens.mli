@@ -123,19 +123,24 @@ val drename : (string * string) list -> dlens
 
 val dcompose : dlens -> dlens -> dlens
 (** [dcompose outer inner] with [outer] closer to the source (same
-    orientation as {!Esm_lens.Lens.compose}).  Its [get], [put] and
+    orientation as {!Esm_lens.Lens.compose}).  Its [get] and
     [translate] read the intermediate view through a single-entry memo
     keyed by the source's physical identity, so a translate after a get
-    on the same source does not recompute it.  Pedigrees compose with
+    on the same source does not recompute it.  Its full [put] recomputes
+    the intermediate view, so {!put_delta}'s fallback never reads a
+    memoized table.  Pedigrees compose with
     {!Esm_core.Pedigree.Dcompose} (identity bases are flattened away). *)
 
 val lens_of_dlens : dlens -> (Table.t, Table.t) Esm_lens.Lens.t
 (** The pipeline as a lens that puts by delta, under [dl.lens]'s name.
-    [get] is {!get_memo}.  [put s v] runs {!put_delta} on
-    [Row_delta.diff (get_memo dl s) v], which is relationally equal to
-    the full put.  The full [dl.lens] put runs instead when [v]'s schema
-    differs from the view's (so its {!Esm_lens.Lens.Shape_error} is
-    kept) and when the edit script is longer than the current view. *)
+    [get] is [dl.lens]'s get, memoized for the last source by physical
+    identity (one memo per call of [lens_of_dlens]; no hashing, no
+    ["rlens.view"] reports).  [put s v] runs {!put_delta} on
+    [Row_delta.diff (get s) v], which is relationally equal to the full
+    put.  The full [dl.lens] put runs instead when [v]'s schema differs
+    from the view's (so its {!Esm_lens.Lens.Shape_error} is kept) and
+    when six times the edit script's length exceeds the source's
+    cardinality. *)
 
 val packed_of_dlens :
   ?delta:bool -> init:Table.t -> dlens -> (Table.t, Table.t) Esm_core.Concrete.packed

@@ -133,72 +133,67 @@ let delete t r =
 type change = Ins of int * Row.t | Del of int
 
 let edit t ops =
-  match ops with
-  | [] -> t
-  | [ (true, r) ] -> insert t r
-  | [ (false, r) ] -> delete t r
-  | _ ->
-      List.iter
-        (fun (add, r) -> if add then check_conforms "insert" t.schema r)
-        ops;
-      (* each row ends as its last operation leaves it: stable-sort by
-         row and keep the last of every run of equal rows (the result
-         comes out in descending row order) *)
-      let rec last_ops acc = function
-        | (_, a) :: ((_, b) :: _ as rest) when Row.compare a b = 0 ->
-            last_ops acc rest
-        | op :: rest -> last_ops (op :: acc) rest
-        | [] -> acc
-      in
-      (* folding the descending rows conses [changes] ascending *)
-      let changes, hash_delta =
-        List.fold_left
-          (fun ((cs, h) as acc) (add, r) ->
-            match (search t.rows r, add) with
-            | Error i, true -> (Ins (i, r) :: cs, h lxor row_hash r)
-            | Ok i, false -> (Del i :: cs, h lxor row_hash r)
-            | Ok _, true | Error _, false -> acc)
-          ([], 0)
-          (last_ops []
-             (List.stable_sort (fun (_, a) (_, b) -> Row.compare a b) ops))
-      in
-      if changes = [] then t
-      else
-        let n = Array.length t.rows in
-        let n' =
-          List.fold_left
-            (fun k -> function Ins _ -> k + 1 | Del _ -> k - 1)
-            n changes
-        in
-        let fill =
-          match changes with Ins (_, r) :: _ -> r | _ -> t.rows.(0)
-        in
-        let rows = Array.make n' fill in
-        (* copy the unchanged stretch before each change in one blit *)
-        let src = ref 0 and dst = ref 0 in
-        let copy_to pos =
-          Array.blit t.rows !src rows !dst (pos - !src);
-          dst := !dst + (pos - !src);
-          src := pos
-        in
-        List.iter
-          (function
-            | Ins (pos, r) ->
-                copy_to pos;
-                rows.(!dst) <- r;
-                incr dst
-            | Del pos ->
-                copy_to pos;
-                incr src)
-          changes;
-        copy_to n;
-        let child = make_sorted t.schema rows in
-        (* xor'ing every changed row in or out is exact, as in
-           [inherit_hash] *)
-        (match t.hash_acc with
-        | Some acc -> child.hash_acc <- Some (acc lxor hash_delta)
-        | None -> ());
-        child
+  List.iter
+    (fun (add, r) -> if add then check_conforms "insert" t.schema r)
+    ops;
+  (* each row ends as its last operation leaves it: stable-sort by
+     row and keep the last of every run of equal rows (the result
+     comes out in descending row order) *)
+  let rec last_ops acc = function
+    | (_, a) :: ((_, b) :: _ as rest) when Row.compare a b = 0 ->
+        last_ops acc rest
+    | op :: rest -> last_ops (op :: acc) rest
+    | [] -> acc
+  in
+  (* folding the descending rows conses [changes] ascending *)
+  let changes, hash_delta =
+    List.fold_left
+      (fun ((cs, h) as acc) (add, r) ->
+        match (search t.rows r, add) with
+        | Error i, true -> (Ins (i, r) :: cs, h lxor row_hash r)
+        | Ok i, false -> (Del i :: cs, h lxor row_hash r)
+        | Ok _, true | Error _, false -> acc)
+      ([], 0)
+      (last_ops []
+         (List.stable_sort (fun (_, a) (_, b) -> Row.compare a b) ops))
+  in
+  if changes = [] then t
+  else
+    let n = Array.length t.rows in
+    let n' =
+      List.fold_left
+        (fun k -> function Ins _ -> k + 1 | Del _ -> k - 1)
+        n changes
+    in
+    let fill =
+      match changes with Ins (_, r) :: _ -> r | _ -> t.rows.(0)
+    in
+    let rows = Array.make n' fill in
+    (* copy the unchanged stretch before each change in one blit *)
+    let src = ref 0 and dst = ref 0 in
+    let copy_to pos =
+      Array.blit t.rows !src rows !dst (pos - !src);
+      dst := !dst + (pos - !src);
+      src := pos
+    in
+    List.iter
+      (function
+        | Ins (pos, r) ->
+            copy_to pos;
+            rows.(!dst) <- r;
+            incr dst
+        | Del pos ->
+            copy_to pos;
+            incr src)
+      changes;
+    copy_to n;
+    let child = make_sorted t.schema rows in
+    (* xor'ing every changed row in or out is exact, as in
+       [inherit_hash] *)
+    (match t.hash_acc with
+    | Some acc -> child.hash_acc <- Some (acc lxor hash_delta)
+    | None -> ());
+    child
 
 let filter (keep : Row.t -> bool) t =
   (* filtering preserves sortedness and distinctness *)

@@ -60,8 +60,7 @@ val edit : t -> (bool * Row.t) list -> t
     and every inserted row must conform, checked in list order.  The
     new row array is built once, copying the unchanged stretches in
     blocks.  A memoized structural hash is carried over; a burst that
-    changes nothing returns the table physically unchanged.  A
-    one-operation burst is {!insert} or {!delete}. *)
+    changes nothing returns the table physically unchanged. *)
 
 val filter : (Row.t -> bool) -> t -> t
 

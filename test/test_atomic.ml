@@ -365,8 +365,9 @@ let relational_chaos_tests =
 (* Outright index corruption (no chaos): the checked index detects it,
    put_delta falls back to the oracle, and the corrupt memo is dropped.
    A project-only pipeline is used so the project stage's translate
-   consults the base table's memo directly (under [dcompose], inner
-   stages see freshly computed intermediate tables). *)
+   consults the base table's memo directly (under [dcompose], an inner
+   stage's translate reads the memoized intermediate table instead; the
+   next test corrupts that one). *)
 let dl_project : Rel.Rlens.dlens =
   Rel.Query.dlens_of_string ~schema ~key {|employees | select id, name, dept|}
 
@@ -395,6 +396,58 @@ let index_corruption_tests =
         (* revalidation dropped the corrupt memo: it is rebuilt healthy *)
         check Alcotest.bool "memo healthy again" true
           (Rel.Table.validate_indexes source));
+    test "a corrupted intermediate index under dcompose degrades to a \
+          fresh full put" `Quick (fun () ->
+        (* the outer stage copies the source and hands the copy to the
+           test, so the test holds the intermediate table that the
+           composition memoizes *)
+        let held = ref None in
+        let copy =
+          {
+            Rel.Rlens.lens =
+              Lens.v ~name:"copy"
+                ~get:(fun s ->
+                  let c = Rel.Table.filter (fun _ -> true) s in
+                  held := Some c;
+                  c)
+                ~put:(fun _ v -> v)
+                ();
+            translate = (fun _ ds -> ds);
+            pedigree = Pedigree.Identity;
+            view_cache = None;
+          }
+        in
+        let project () =
+          Rel.Rlens.dproject ~keep:[ "id"; "name"; "dept" ] ~key schema
+        in
+        let source = Rel.Workload.employees ~seed:5 ~size:12 in
+        (* rename an existing row: its dropped columns must be restored
+           from the old row through the key index *)
+        let old_row =
+          List.hd (Rel.Table.rows (Lens.get dl_project.lens source))
+        in
+        let new_row = Array.copy old_row in
+        new_row.(1) <- Rel.Value.Str "renamed";
+        let deltas =
+          [ Rel.Row_delta.Remove old_row; Rel.Row_delta.Add new_row ]
+        in
+        let oracle =
+          let fresh = Rel.Rlens.dcompose copy (project ()) in
+          let view = Lens.get fresh.lens source in
+          Lens.put fresh.lens source (Rel.Row_delta.apply_all view deltas)
+        in
+        let dl = Rel.Rlens.dcompose copy (project ()) in
+        ignore (Lens.get dl.lens source);
+        let mid = Option.get !held in
+        let id_pos = Rel.Schema.index schema "id" in
+        Hashtbl.reset (Rel.Table.key_index mid [ id_pos ]);
+        check Alcotest.bool "corruption detectable" false
+          (Rel.Table.validate_indexes mid);
+        let before = Chaos.fallbacks_total () in
+        let result = Rel.Rlens.put_delta dl source deltas in
+        check Alcotest.bool "fallback recorded" true
+          (Chaos.fallbacks_total () > before);
+        check Helpers.table "fallback equals oracle" oracle result);
     test "revalidate_indexes reports and repairs" `Quick (fun () ->
         let t = Rel.Workload.employees ~seed:9 ~size:10 in
         let id_pos = Rel.Schema.index schema "id" in

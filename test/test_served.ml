@@ -75,10 +75,11 @@ let view_row ?(dept = "Engineering") id =
       Rel.Value.Str dept;
     ]
 
-(* The stream: A-side and B-side delta bursts, with a whole-view Set_b
-   (edit script longer than the view: the full-put fallback) and a
-   half-view Set_b (script as long as the view: the delta path) at
-   fixed points, and one B-side add that violates the predicate. *)
+(* The stream: A-side and B-side delta bursts, with three Set_b's at
+   fixed points -- one that replaces a single view row (a two-entry
+   script: the delta path), a whole-view one and a half-view one (both
+   scripts longer than a sixth of the source: the full-put fallback) --
+   and one B-side add that violates the predicate. *)
 type op = (Rel.Table.t, Rel.Table.t, Rel.Row_delta.t, Rel.Row_delta.t) Store.op
 type step = Commit of op | Refused of op
 
@@ -103,6 +104,11 @@ let stream_step r ~fresh ~step (view_a : Rel.Table.t) (view_b : Rel.Table.t) =
            (Rel.Table.of_rows schema_b
               (List.init (Rel.Table.cardinality view_b + 2) (fun _ ->
                    view_row (next ())))))
+  | 30 ->
+      Commit
+        (Store.Set_b
+           (Rel.Table.of_rows schema_b
+              (view_row (next ()) :: List.tl (Rel.Table.rows view_b))))
   | 40 ->
       let rows = Rel.Table.rows view_b in
       let kept = List.filteri (fun i _ -> i mod 2 = 0) rows in
@@ -193,9 +199,10 @@ let differential () =
       Store.close r2)
 
 (* The served put against the full put on arbitrary views: the views
-   range from empty to larger than the current one, so both the delta
-   path and the long-script fallback run; a put either lands on the
-   same table on both or is refused by both. *)
+   range from empty to larger than the current one, and half of them
+   add at most two rows, so both the delta path and the long-script
+   fallback run; a put either lands on the same table on both or is
+   refused by both. *)
 let gen_source_and_view : (Rel.Table.t * Rel.Table.t) QCheck.arbitrary =
   QCheck.make
     ~print:(fun (s, v) ->
@@ -204,7 +211,7 @@ let gen_source_and_view : (Rel.Table.t * Rel.Table.t) QCheck.arbitrary =
       let* sseed = int_bound 10_000 in
       let* ssize = int_bound 40 in
       let* vseed = int_bound 10_000 in
-      let* vsize = int_bound 40 in
+      let* vsize = oneof [ int_bound 2; int_bound 40 ] in
       let* keep = int_bound 3 in
       let source = Rel.Workload.employees ~seed:sseed ~size:ssize in
       let other = Rel.Workload.engineering_view ~seed:vseed ~size:vsize in
