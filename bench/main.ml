@@ -749,6 +749,16 @@ let () =
   ignore (Table.hash b13_table);
   ignore (Rlens.get_memo b13_dlens b13_table)
 
+(* the B view as a [get] serves it: rendered afresh from its rows, and
+   through the server's rendered-view memo *)
+let b13_view_rows = Table.rows (Sync.Store.view_b b13_store)
+
+let b13_wire =
+  let srv = Sync.Wire.serve b13_store in
+  ignore (Sync.Wire.handle_line srv ~session:"b13w" "hello b13w b");
+  ignore (Sync.Wire.handle_line srv ~session:"b13w" "get");
+  srv
+
 let b13_tests =
   [
     Test.make ~name:"store view read, uncached (n=4096)"
@@ -777,6 +787,13 @@ let b13_tests =
                 (Table.row_array b13_table))));
     Test.make ~name:"table hash, cached (n=4096)"
       (Staged.stage (fun () -> Table.hash b13_table));
+    Test.make ~name:"wire render_response, B view (n=4096)"
+      (Staged.stage (fun () ->
+           Sync.Wire.render_response
+             (Sync.Wire.Resp_view (1, b13_view_rows))));
+    Test.make ~name:"wire get, memoized B view (n=4096)"
+      (Staged.stage (fun () ->
+           Sync.Wire.handle_line b13_wire ~session:"b13w" "get"));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1157,17 +1174,6 @@ let measure_one test =
   in
   (name, est)
 
-(* Collected (experiment id, ns/run) pairs across all groups, for the
-   JSON emitter. *)
-let all_results : (string * float) list ref = ref []
-
-(* "B4" + "select.put   n=4096" -> "B4/select.put n=4096" (padding
-   collapsed so ids are stable across formatting tweaks). *)
-let experiment_id group name =
-  group ^ "/"
-  ^ String.concat " "
-      (List.filter (fun s -> s <> "") (String.split_on_char ' ' name))
-
 let run_group ~(id : string) ~(header : string) ~(expectation : string) tests =
   Fmt.pr "@.== %s: %s ==@." id header;
   Fmt.pr "   expectation: %s@." expectation;
@@ -1175,143 +1181,10 @@ let run_group ~(id : string) ~(header : string) ~(expectation : string) tests =
   let baseline = match results with (_, t) :: _ -> t | [] -> nan in
   List.iter
     (fun (name, ns) ->
-      Fmt.pr "   %-42s %12.1f ns/run   (x%.2f)@." name ns (ns /. baseline);
-      all_results := (experiment_id id name, ns) :: !all_results)
+      Fmt.pr "   %-42s %12.1f ns/run   (x%.2f)@." name ns (ns /. baseline))
     results
 
-(* ------------------------------------------------------------------ *)
-(* JSON emission (--json): BENCH_PR2.json with the pre-PR baseline      *)
-(* ------------------------------------------------------------------ *)
-
-(* ns/run measured at the parent commit of this PR (same machine and
-   harness, before the indexed-storage/delta work), for the experiments
-   that work touches.  Kept verbatim so the before/after ratio is
-   recorded alongside every fresh run. *)
-let pre_pr_baseline =
-  [
-    ("B4/select.get n=0064", 1701.1);
-    ("B4/select.put n=0064", 9171.7);
-    ("B4/project.put n=0064", 16234.3);
-    ("B4/select.get n=0512", 14046.7);
-    ("B4/select.put n=0512", 76360.2);
-    ("B4/project.put n=0512", 159368.1);
-    ("B4/select.get n=4096", 113399.0);
-    ("B4/select.put n=4096", 765074.5);
-    ("B4/project.put n=4096", 1684741.5);
-    ("B7/consistency check n=008", 7506.5);
-    ("B7/fwd after 1 edit n=008", 8392.9);
-    ("B7/diff 1-edit models n=008", 2418.7);
-    ("B7/consistency check n=032", 84179.2);
-    ("B7/fwd after 1 edit n=032", 88820.9);
-    ("B7/diff 1-edit models n=032", 9207.0);
-    ("B7/consistency check n=128", 1234581.5);
-    ("B7/fwd after 1 edit n=128", 1377884.0);
-    ("B7/diff 1-edit models n=128", 38983.9);
-    ("B8/compiled view lens put (n=512)", 133687.3);
-    ("B8/handwritten view lens put (n=512)", 129060.2);
-  ]
-
-(* ns/run measured at the parent commit of PR 7 (same machine and
-   harness, before the incremental recomputation layer) for the write
-   paths that work touches — the ≤10% overhead budget of EXPERIMENTS.md
-   B13 is judged against these.  The B13 read-path experiments have no
-   pre-PR equivalent: the caches did not exist. *)
-let pre_pr7_baseline =
-  [
-    ("B4/select.get n=0064", 2034.1);
-    ("B4/select.put n=0064", 5223.8);
-    ("B4/select.put_delta n=0064", 898.4);
-    ("B4/project.put n=0064", 12249.8);
-    ("B4/project.put_delta n=0064", 1065.1);
-    ("B4/select.get n=0512", 12544.5);
-    ("B4/select.put n=0512", 41377.6);
-    ("B4/select.put_delta n=0512", 3754.4);
-    ("B4/project.put n=0512", 118858.4);
-    ("B4/project.put_delta n=0512", 18191.4);
-    ("B4/select.get n=4096", 90677.7);
-    ("B4/select.put n=4096", 253475.5);
-    ("B4/select.put_delta n=4096", 27115.9);
-    ("B4/project.put n=4096", 1278051.1);
-    ("B4/project.put_delta n=4096", 30971.5);
-    ("B8/compiled view lens put (n=512)", 63602.4);
-    ("B8/handwritten view lens put (n=512)", 68521.3);
-    ("B9/raw set_b (full put, n=512)", 40406.3);
-    ("B9/atomic set_b, commit path", 41983.6);
-    ("B10/batched commit (64-delta burst, n=4096)", 716021.3);
-    ("B10/one-at-a-time (64 commits, n=4096)", 23121548.3);
-    ("B10/replay recovery (8 bursts, n=4096)", 3097056.4);
-    ("B11/commit fsync=never (n=4096)", 807757.9);
-    ("B11/commit fsync=every-64 (n=4096)", 812821.3);
-    ("B11/commit fsync=every-8 (n=4096)", 1763272.2);
-    ("B11/commit fsync=always (n=4096)", 1137925.0);
-    ("B12/plan command: exec raw (16 view sets, n=512)", 346205.7);
-    ("B12/plan command: exec at opaque floor", 376891.0);
-    ("B12/plan command: exec at inferred level", 36982.7);
-  ]
-
-(* Pre-PR8 there was no transport: the only way to submit was the
-   in-process session path.  B14's remote round-trips are judged against
-   these committed PR7 numbers for the same commit machinery. *)
-(* Pre-PR9 there was no query front-end: the only way to run these
-   pipelines was to hand-build the dlens (B4's put_delta paths, B8's
-   compiled view lens).  B15's parity and overhead claims are judged
-   against these committed PR8 numbers for the same machinery. *)
-let pre_pr9_baseline =
-  [
-    ("B4/select.put_delta n=0512", 3889.3);
-    ("B4/project.put_delta n=0512", 7544.6);
-    ("B8/compiled view lens put (n=512)", 79447.1);
-    ("B8/handwritten view lens put (n=512)", 87032.0);
-  ]
-
-let pre_pr8_baseline =
-  [
-    ("B10/batched commit (64-delta burst, n=4096)", 702939.6);
-    ("B10/one-at-a-time (64 commits, n=4096)", 21333624.6);
-    ("B13/session poll, unchanged store", 747.4);
-    ("B13/store view read, memoized hit (n=4096)", 740.7);
-  ]
-
-(* Pre-PR10 there was no sharding and no compaction: a lagging replica
-   could only be rebuilt by the full replay/reopen machinery, and the
-   durable log grew without bound.  B16's gossip catch-up and bounded
-   reopen are judged against these committed PR9 numbers for that
-   machinery. *)
-let pre_pr10_baseline =
-  [
-    ("B10/replay recovery (8 bursts, n=4096)", 3025665.8);
-    ("B11/reopen 127 commits, snapshot_every=8 (n=512)", 3874763.6);
-    ("B11/reopen 127 commits, snapshot_every=100000 (n=512)", 6253273.1);
-  ]
-
-let json_number ns =
-  if Float.is_nan ns then "null" else Printf.sprintf "%.1f" ns
-
-let emit_json ~pr ~baseline path =
-  let buf = Buffer.create 4096 in
-  let obj entries =
-    String.concat ",\n"
-      (List.map
-         (fun (k, ns) -> Printf.sprintf "    %S: %s" k (json_number ns))
-         entries)
-  in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"pr\": %d,\n" pr);
-  Buffer.add_string buf
-    "  \"unit\": \"ns/run\",\n  \"keys\": \"experiment id (group/test)\",\n";
-  Buffer.add_string buf "  \"baseline_pre_pr\": {\n";
-  Buffer.add_string buf (obj baseline);
-  Buffer.add_string buf "\n  },\n";
-  Buffer.add_string buf "  \"current\": {\n";
-  Buffer.add_string buf (obj (List.rev !all_results));
-  Buffer.add_string buf "\n  }\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Fmt.pr "@.wrote %s@." path
-
 let () =
-  let json = Array.exists (String.equal "--json") Sys.argv in
   Fmt.pr "entangled-state-monads benchmark harness@.";
   Fmt.pr
     "(paper has no empirical evaluation; experiment ids follow EXPERIMENTS.md)@.";
@@ -1383,7 +1256,8 @@ let () =
       "memoized store view reads, rlens view hits and unchanged-store polls \
        are near-zero-cost (>=50x under the uncached read at n=4096); a plan \
        cache hit dodges the parse-free recompile; the table hash is O(1) \
-       once the accumulator is warm"
+       once the accumulator is warm; a wire get at an unchanged version \
+       serves the memoized rendered rows, far under a fresh render"
     b13_tests;
   run_group ~id:"B14"
     ~header:"real transport: remote sessions vs drop rate (chaos net)"
@@ -1410,10 +1284,4 @@ let () =
        steady-state round is near-free; reopening a compacted log beats the \
        full 127-record scan"
     b16_tests;
-  if json then (
-    emit_json ~pr:2 ~baseline:pre_pr_baseline "BENCH_PR2.json";
-    emit_json ~pr:7 ~baseline:pre_pr7_baseline "BENCH_PR7.json";
-    emit_json ~pr:8 ~baseline:pre_pr8_baseline "BENCH_PR8.json";
-    emit_json ~pr:9 ~baseline:pre_pr9_baseline "BENCH_PR9.json";
-    emit_json ~pr:10 ~baseline:pre_pr10_baseline "BENCH_PR10.json");
   Fmt.pr "@.done.@."

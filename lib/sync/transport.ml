@@ -148,7 +148,8 @@ module Envelope = struct
 
   type resp = { rid : int; body : string }
 
-  let render_resp { rid; body } = Printf.sprintf "%d %s" rid body
+  (* one concatenation: a view body runs to tens of kilobytes *)
+  let render_resp { rid; body } = String.concat " " [ string_of_int rid; body ]
 
   let parse_resp (s : string) : (resp, Error.t) result =
     let idw, body = cut (String.trim s) in
@@ -349,6 +350,7 @@ module Server = struct
     config : config;
     clock : Retry.clock;
     core : Core.t;
+    rbuf : Bytes.t;  (** every read lands here before its frame is pushed *)
     mutable conns : conn list;
     mutable shutdown : bool;
     mutable closed : bool;
@@ -378,6 +380,7 @@ module Server = struct
       config;
       clock;
       core = Core.create ~max_pending:config.max_pending wire;
+      rbuf = Bytes.create 65536;
       conns = [];
       shutdown = false;
       closed = false;
@@ -438,7 +441,7 @@ module Server = struct
 
   let read_conn t (c : conn) : unit =
     if not c.closing then begin
-      let buf = Bytes.create 65536 in
+      let buf = t.rbuf in
       let rec go () =
         match Unix.read c.fd buf 0 (Bytes.length buf) with
         | 0 -> c.dead <- true

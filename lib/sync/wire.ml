@@ -82,22 +82,97 @@ let split_outside_quotes (sep : char) (s : string) : string list =
   if !in_quotes then parse_error "unterminated quote in %S" s;
   List.rev (Buffer.contents buf :: !parts)
 
+(* {1 The renderer}
+
+   Every render path writes into one [Buffer.t]: ints are formatted
+   digit by digit, a string with no quote and no backslash is copied in
+   one piece, and rows are walked in place. *)
+
+let add_int (b : Buffer.t) (n : int) : unit =
+  (* the digits of [-|n|], which is never positive, so [min_int] needs
+     no negation *)
+  let rec digits m =
+    if m <= -10 then digits (m / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 - (m mod 10)))
+  in
+  if n < 0 then (
+    Buffer.add_char b '-';
+    digits n)
+  else digits (-n)
+
+(* A double-quoted string, backslash before each quote and backslash;
+   the runs between them are copied whole. *)
+let add_quoted (b : Buffer.t) (s : string) : unit =
+  Buffer.add_char b '"';
+  let run = ref 0 in
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | '"' | '\\' ->
+        Buffer.add_substring b s !run (i - !run);
+        Buffer.add_char b '\\';
+        run := i
+    | _ -> ()
+  done;
+  Buffer.add_substring b s !run (String.length s - !run);
+  Buffer.add_char b '"'
+
+let add_value (b : Buffer.t) : Value.t -> unit = function
+  | Value.Int n -> add_int b n
+  | Value.Bool true -> Buffer.add_string b "true"
+  | Value.Bool false -> Buffer.add_string b "false"
+  | Value.Str s -> add_quoted b s
+
+(* [add b x] for each [x] of [xs], with [sep] between two. *)
+let add_sep iter add sep (b : Buffer.t) xs =
+  let first = ref true in
+  iter
+    (fun x ->
+      if !first then first := false else Buffer.add_string b sep;
+      add b x)
+    xs
+
+let add_row (b : Buffer.t) (r : Row.t) : unit =
+  add_sep Array.iter add_value ", " b r
+
+let add_rows b rows = add_sep List.iter add_row " ; " b rows
+let add_row_array b rows = add_sep Array.iter add_row " ; " b rows
+
+let add_delta (b : Buffer.t) : Row_delta.t -> unit = function
+  | Row_delta.Add r ->
+      Buffer.add_char b '+';
+      add_row b r
+  | Row_delta.Remove r ->
+      Buffer.add_char b '-';
+      add_row b r
+
+let add_deltas b ds = add_sep List.iter add_delta " ; " b ds
+
+(* [f]'s output in a fresh buffer of [size] bytes.  [~line:true] drops
+   trailing whitespace, as [String.trim] did for a keyword line whose
+   body renders empty ([view 3], [set]): lines start with a keyword,
+   so only the tail can carry any. *)
+let render ?(size = 64) ?(line = false) (f : Buffer.t -> unit) : string =
+  let b = Buffer.create size in
+  f b;
+  if not line then Buffer.contents b
+  else
+    let n = ref (Buffer.length b) in
+    while
+      !n > 0
+      && match Buffer.nth b (!n - 1) with
+         | ' ' | '\012' | '\n' | '\r' | '\t' -> true
+         | _ -> false
+    do
+      decr n
+    done;
+    Buffer.sub b 0 !n
+
+(* a size hint for [n] rendered rows *)
+let rows_size n = 64 + (40 * n)
+
 (* {1 Value codec} *)
 
-let render_value = function
-  | Value.Int n -> string_of_int n
-  | Value.Bool true -> "true"
-  | Value.Bool false -> "false"
-  | Value.Str s ->
-      let buf = Buffer.create (String.length s + 2) in
-      Buffer.add_char buf '"';
-      String.iter
-        (fun c ->
-          if c = '"' || c = '\\' then Buffer.add_char buf '\\';
-          Buffer.add_char buf c)
-        s;
-      Buffer.add_char buf '"';
-      Buffer.contents buf
+let render_value v = render ~size:16 (fun b -> add_value b v)
 
 let parse_value (tok : string) : Value.t =
   let tok = String.trim tok in
@@ -126,23 +201,20 @@ let parse_value (tok : string) : Value.t =
           Value.Str (Buffer.contents buf))
         else Value.Str tok
 
-let render_row (r : Row.t) : string =
-  String.concat ", " (List.map render_value (Row.to_list r))
+let render_row (r : Row.t) : string = render (fun b -> add_row b r)
 
 let parse_row (s : string) : Row.t =
   Row.of_list (List.map parse_value (split_outside_quotes ',' s))
 
 let render_rows (rows : Row.t list) : string =
-  String.concat " ; " (List.map render_row rows)
+  render ~size:(rows_size (List.length rows)) (fun b -> add_rows b rows)
 
 let parse_rows (s : string) : Row.t list =
   match String.trim s with
   | "" -> []
   | s -> List.map parse_row (split_outside_quotes ';' s)
 
-let render_delta = function
-  | Row_delta.Add r -> "+" ^ render_row r
-  | Row_delta.Remove r -> "-" ^ render_row r
+let render_delta (d : Row_delta.t) : string = render (fun b -> add_delta b d)
 
 let parse_delta (s : string) : Row_delta.t =
   let s = String.trim s in
@@ -155,7 +227,7 @@ let parse_delta (s : string) : Row_delta.t =
     | _ -> parse_error "delta must start with + or -: %S" s
 
 let render_deltas (ds : Row_delta.t list) : string =
-  String.concat " ; " (List.map render_delta ds)
+  render (fun b -> add_deltas b ds)
 
 let parse_deltas (s : string) : Row_delta.t list =
   match String.trim s with
@@ -177,8 +249,14 @@ let render_request = function
   | Hello (name, side) ->
       Printf.sprintf "hello %s %s" name (Session.side_name side)
   | Get -> "get"
-  | Set rows -> String.trim ("set " ^ render_rows rows)
-  | Batch ds -> String.trim ("batch " ^ render_deltas ds)
+  | Set rows ->
+      render ~line:true (fun b ->
+          Buffer.add_string b "set ";
+          add_rows b rows)
+  | Batch ds ->
+      render ~line:true (fun b ->
+          Buffer.add_string b "batch ";
+          add_deltas b ds)
   | Pull -> "pull"
   | Ping -> "ping"
   | Crash -> "crash"
@@ -205,13 +283,27 @@ let parse_request (line : string) : request =
 
 (* {1 Response codec} *)
 
+let add_view_head (b : Buffer.t) (v : int) : unit =
+  Buffer.add_string b "view ";
+  add_int b v
+
+(* [view <v> <text>], for [text] the rendered rows less trailing
+   whitespace: the line {!render_response} writes for those rows, built
+   with one copy of [text]. *)
+let render_view (v : int) (text : string) : string =
+  let head = render (fun b -> add_view_head b v) in
+  if text = "" then head else String.concat " " [ head; text ]
+
 let render_response = function
   | Resp_ok v -> Printf.sprintf "ok %d" v
   | Resp_conflict (v, msg) -> Printf.sprintf "conflict %d %s" v msg
   | Resp_error (kind, msg) ->
       Printf.sprintf "error %s %s" (Error.kind_name kind) msg
   | Resp_view (v, rows) ->
-      String.trim (Printf.sprintf "view %d %s" v (render_rows rows))
+      render ~size:(rows_size (List.length rows)) ~line:true (fun b ->
+          add_view_head b v;
+          Buffer.add_char b ' ';
+          add_rows b rows)
   | Resp_update (v, n) -> Printf.sprintf "update %d %d" v n
   | Resp_pong -> "pong"
 
@@ -269,14 +361,24 @@ let parse_response (line : string) : response =
 let durable_op_codec ~(schema_a : Schema.t) ~(schema_b : Schema.t) :
     (Table.t, Table.t, Row_delta.t, Row_delta.t) Store.op_codec =
   let table_of schema rows = Table.of_rows schema rows in
+  let set_line word t =
+    render ~size:(rows_size (Table.cardinality t)) ~line:true (fun b ->
+        Buffer.add_string b word;
+        add_row_array b (Table.row_array t))
+  in
+  let batch_line word ds =
+    render ~line:true (fun b ->
+        Buffer.add_string b word;
+        add_deltas b ds)
+  in
   {
     Store.encode_op =
       (fun op ->
         match op with
-        | Store.Set_a t -> String.trim ("set_a " ^ render_rows (Table.rows t))
-        | Store.Set_b t -> String.trim ("set_b " ^ render_rows (Table.rows t))
-        | Store.Batch_a ds -> String.trim ("batch_a " ^ render_deltas ds)
-        | Store.Batch_b ds -> String.trim ("batch_b " ^ render_deltas ds)
+        | Store.Set_a t -> set_line "set_a " t
+        | Store.Set_b t -> set_line "set_b " t
+        | Store.Batch_a ds -> batch_line "batch_a " ds
+        | Store.Batch_b ds -> batch_line "batch_b " ds
         | Store.Exec _ ->
             Error.raise_error Error.Other ~op:"durable"
               "Exec ops are not serialisable (programs contain functions); \
@@ -290,7 +392,10 @@ let durable_op_codec ~(schema_a : Schema.t) ~(schema_b : Schema.t) :
         | "batch_a" -> Store.Batch_a (parse_deltas rest)
         | "batch_b" -> Store.Batch_b (parse_deltas rest)
         | _ -> parse_error "unknown durable op %S" s);
-    encode_a = (fun t -> render_rows (Table.rows t));
+    encode_a =
+      (fun t ->
+        render ~size:(rows_size (Table.cardinality t)) (fun b ->
+            add_row_array b (Table.row_array t)));
     decode_a = (fun s -> table_of schema_a (parse_rows s));
   }
 
@@ -299,10 +404,13 @@ let durable_op_codec ~(schema_a : Schema.t) ~(schema_b : Schema.t) :
 type server = {
   store : rstore;
   sessions : (string, rsession) Hashtbl.t;
+  mutable text_a : (Table.t * string) option;
+      (** the last A view table served and its rendered rows *)
+  mutable text_b : (Table.t * string) option;
 }
 
 let serve (store : rstore) : server =
-  { store; sessions = Hashtbl.create 8 }
+  { store; sessions = Hashtbl.create 8; text_a = None; text_b = None }
 
 let store (srv : server) : rstore = srv.store
 
@@ -331,6 +439,36 @@ let of_result = function
       Resp_conflict (0, Error.message e)
   | Error e -> Resp_error (e.Error.kind, Error.message e)
 
+let response_of_exn exn =
+  match Error.of_exn exn with
+  | Some e -> of_result (Error e)
+  | None -> Resp_error (Error.Other, Printexc.to_string exn)
+
+let session_view (srv : server) (session : string) =
+  Session.view (session_of srv session)
+
+(* The rendered rows of a view table, memoized per side by the table's
+   physical identity: tables are immutable and the store hands out the
+   same view table until its version moves, so a [get] at an unchanged
+   version renders nothing. *)
+let view_text (srv : server) (view : [ `A of Table.t | `B of Table.t ]) :
+    string =
+  let memo, t =
+    match view with `A t -> (srv.text_a, t) | `B t -> (srv.text_b, t)
+  in
+  match memo with
+  | Some (t', text) when t' == t -> text
+  | _ ->
+      let rows = Table.row_array t in
+      let text =
+        render ~size:(rows_size (Array.length rows)) ~line:true (fun b ->
+            add_row_array b rows)
+      in
+      (match view with
+      | `A _ -> srv.text_a <- Some (t, text)
+      | `B _ -> srv.text_b <- Some (t, text));
+      text
+
 let handle (srv : server) ~(session : string) (req : request) : response =
   try
     match req with
@@ -349,8 +487,7 @@ let handle (srv : server) ~(session : string) (req : request) : response =
         Store.recover srv.store;
         Resp_ok (Store.version srv.store)
     | Get -> (
-        let s = session_of srv session in
-        match Session.view s with
+        match session_view srv session with
         | `A t | `B t -> Resp_view (Store.version srv.store, Table.rows t))
     | Pull ->
         let s = session_of srv session in
@@ -377,10 +514,15 @@ let handle (srv : server) ~(session : string) (req : request) : response =
         match Session.submit_rebase s op with
         | Ok (v, _) -> Resp_ok v
         | Error e -> of_result (Error e))
-  with exn when Error.is_bx_exn exn -> (
-    match Error.of_exn exn with
-    | Some e -> of_result (Error e)
-    | None -> Resp_error (Error.Other, Printexc.to_string exn))
+  with exn when Error.is_bx_exn exn -> response_of_exn exn
 
+(* [render_response (handle ...)], but a [get] renders its rows through
+   the memo *)
 let handle_line (srv : server) ~(session : string) (line : string) : string =
-  render_response (handle srv ~session (parse_request line))
+  match parse_request line with
+  | Get -> (
+      match session_view srv session with
+      | view -> render_view (Store.version srv.store) (view_text srv view)
+      | exception exn when Error.is_bx_exn exn ->
+          render_response (response_of_exn exn))
+  | req -> render_response (handle srv ~session req)

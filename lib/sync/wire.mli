@@ -31,14 +31,26 @@ type response =
   | Resp_update of int * int  (** [update <version> <n-entries>] *)
   | Resp_pong  (** [pong] *)
 
-(** {1 Codec} *)
+(** {1 Codec}
+
+    Every renderer writes its whole line into one buffer in one pass:
+    hand-formatted ints, quote-free strings copied whole, rows walked
+    in place. *)
 
 val render_value : Value.t -> string
 val parse_value : string -> Value.t
 val render_row : Row.t -> string
 val parse_row : string -> Row.t
+
+val render_rows : Row.t list -> string
+(** Rows joined by [" ; "] — the body of [set], [view] and snapshots. *)
+
 val render_delta : Row_delta.t -> string
 val parse_delta : string -> Row_delta.t
+
+val render_deltas : Row_delta.t list -> string
+(** Deltas joined by [" ; "] — the body of [batch]. *)
+
 val render_request : request -> string
 val parse_request : string -> request
 val render_response : response -> string
@@ -79,4 +91,8 @@ val handle : server -> session:string -> request -> response
 
 val handle_line : server -> session:string -> string -> string
 (** [parse_request], {!handle}, [render_response] in one step; parse
-    failures still raise (the caller decides how to report bad input). *)
+    failures still raise (the caller decides how to report bad input).
+    A [get] renders the view's rows once per view table: the server
+    keeps the text of the last table served on each side, keyed by the
+    table's physical identity, so a [get] at an unchanged version only
+    prefixes [view <version>]. *)

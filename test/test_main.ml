@@ -40,6 +40,7 @@ let () =
       ("integration", Test_integration.suite);
       ("chaos (atomic + fault injection)", Test_atomic.suite);
       ("sync (replicated store)", Test_sync.suite);
+      ("wire renderer (byte identity)", Test_wire_render.suite);
       ("transport (real net + chaos net)", Test_transport.suite);
       ("durable log", Test_durable_log.suite);
       ("shard (gossip + compaction)", Test_shard.suite);

@@ -11,7 +11,9 @@
       transient/permanent transport errors;
     - {!Esm_sync.Transport.Core}: the dedup window (replay answered from
       cache, stale ids refused, both without re-execution), overload
-      shedding that leaves dedup untouched, idle-session reaping;
+      shedding that leaves dedup untouched, idle-session reaping, and
+      a [get] served from the rendered-view memo equal to a fresh
+      render;
     - {!Esm_sync.Transport.Chaos_net}: scripted half-open/duplicate
       scenarios and a deterministic mini-soak per fixed seed asserting
       the no-lost/no-duplicated-commit accounting and convergence;
@@ -538,6 +540,77 @@ let core_tests =
             | r -> Alcotest.failf "expected parse error, got %s"
                      (Wire.render_response r))
         | Error e -> Alcotest.failf "unparseable: %s" (Error.message e));
+    test "a memoized get serves the frame of a fresh render" `Quick (fun () ->
+        (* Wire.handle_line renders a view table's rows once and serves
+           later gets of the same table from that text; every get must
+           still answer what rendering the store's view afresh gives *)
+        let store = make_store () in
+        let core = Core.create (Wire.serve store) in
+        let ids = Hashtbl.create 4 in
+        let request session body =
+          let id =
+            1 + Option.value ~default:0 (Hashtbl.find_opt ids session)
+          in
+          Hashtbl.replace ids session id;
+          ( id,
+            Core.handle_payload core ~now:0.0 ~pending:0
+              (Envelope.render_req { Envelope.id; session; body }) )
+        in
+        let send session req = ignore (request session (Wire.render_request req)) in
+        let get what session =
+          let rid, got = request session "get" in
+          let view =
+            if session.[0] = 'a' then Store.view_a store
+            else Store.view_b store
+          in
+          let want =
+            Envelope.render_resp
+              {
+                rid;
+                body =
+                  Wire.render_response
+                    (Wire.Resp_view (Store.version store, Rel.Table.rows view));
+              }
+          in
+          check Alcotest.string what want got
+        in
+        let gets what = List.iter (get what) [ "a1"; "b1"; "b1"; "a1" ] in
+        let add_a i =
+          send "a1"
+            (Wire.Batch
+               [ Rel.Row_delta.Add (base_row i "zed" "Engineering" 70_000) ])
+        in
+        let add_b i =
+          send "b1" (Wire.Batch [ Rel.Row_delta.Add (view_row i "yu") ])
+        in
+        send "a1" (Wire.Hello ("a1", `A));
+        send "b1" (Wire.Hello ("b1", `B));
+        gets "fresh";
+        add_a 960;
+        gets "after an A-side commit";
+        add_b 961;
+        gets "after a B-side commit";
+        for i = 0 to 9 do
+          if i mod 2 = 0 then add_a (970 + i) else add_b (970 + i);
+          get "interleaved" "b1";
+          get "interleaved" "a1"
+        done;
+        send "a1" Wire.Crash;
+        gets "after crash";
+        send "b1" Wire.Recover;
+        gets "after recover";
+        check Alcotest.int "recovered to the head" 12 (Store.version store);
+        (* incr.hash faults make the store rematerialise its views, so
+           the memo sees new tables *)
+        let chaos = Chaos.make ~rate:1.0 ~seed:chaos_seed () in
+        Chaos.with_chaos chaos (fun () ->
+            Chaos.at_sites [ Shash.site ] (fun () ->
+                gets "under incr.hash faults";
+                add_b 990;
+                gets "under incr.hash faults, after a commit"));
+        check Alcotest.bool "incr.hash faults fired" true
+          (Chaos.injected chaos > 0);
+        gets "after the faults");
   ]
 
 (* ------------------------------------------------------------------ *)
