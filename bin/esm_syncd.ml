@@ -1,6 +1,7 @@
-(* esm_syncd: the sync engine driver — a deterministic in-process
-   "daemon" serving concurrent sessions against a replicated relational
-   store (Esm_sync over the employees where|select lens).
+(* esm_syncd: the sync engine driver — a daemon serving concurrent
+   sessions against a replicated relational store (Esm_sync over the
+   employees where|select lens), its client, a script replayer, and the
+   soak that checks the engine's claims.
 
    Modes:
 
@@ -11,192 +12,55 @@
        SIGTERM/SIGINT request a clean drain: stop accepting, flush
        queued responses, print the transport stats, exit 0.
 
-     esm_syncd --connect ADDR [--sessions N] [--ops N] [--seed N]
-       The matching client driver: bind N remote sessions (names are
-       pid-unique, so several --connect processes can share a server),
-       round-robin a seeded workload of batch commits, pulls, views and
-       pings across them with full retry/idempotency, then pull each
-       session to the head and report convergence.  Exit 1 if any
-       session failed or did not converge.
-
-     esm_syncd --soak --chaos-net [--seed N] [--ops N] [--sessions N]
-              [--require-converged]
-       Run the remote-session workload through the deterministic chaos
-       network (sites net.drop/dup/reorder/truncate/delay/halfopen,
-       driven by CHAOS_SEED like every other site) against the real
-       server core, and check the transport's own invariants:
-         no-lost/no-dup  the store head equals the number of commits
-                         the clients got (or resolved) an ack for —
-                         retries across half-open connections are
-                         deduplicated server-side, never double-applied,
-                         and every acked commit is really in the log;
-         convergence     after the net heals, every session pulls to
-                         the store head (enforced when
-                         --require-converged is given).
-       Exit 1 on any violation.
-
      esm_syncd --script FILE
        Replay a wire-protocol script: each non-empty, non-# line is
        "@<session> <request>" in the grammar of Esm_sync.Wire; lines
        are processed in order (the script IS the schedule, so runs are
        reproducible), and each request/response pair is printed.
-       Exit 2 on malformed script lines.
+       Exit 2 on malformed script lines.  A FILE ending in .esmql is
+       instead parsed as an ESMQL script (see docs/QUERY.md), compiled
+       through the law-level gate and executed against the default
+       store; exit 2 on a parse/compile rejection, 1 on a failed step.
 
-       A FILE ending in .esmql is instead parsed as an ESMQL script
-       (see docs/QUERY.md), compiled through the law-level gate and
-       executed against the daemon's default store.  Exit 2 on a
-       parse/compile rejection, 1 on a failed execution step.
-
-     esm_syncd --soak [--seed N] [--ops N] [--sessions N]
-              [--dir D] [--kill-at N]
-       Run a seeded random multi-session workload and check the sync
-       engine's three invariants:
-         recovery    crash+replay reproduces the exact pre-crash views;
-         batching    a batched delta commit equals the same deltas
-                     committed one at a time (oracle replay);
-         convergence every session pulls to the store head.
-       Exit 1 on any violation.  With --dir the store persists its
-       oplog to D (write-ahead, Fsync_every 8); with --kill-at N the
-       process hard-exits (status 130, no flushing, mid-record when N
-       lands there) after the Nth durable write syscall — the
-       crash-injection half of the durability story.
-
-     esm_syncd --soak --shards N [--gossip-every K] [--compact]
-              [--dir D] [--kill-at N]
-       The sharded soak: partition the store across N shards (row
-       ownership: id mod N), route every batch commit through the
-       group router, and run one anti-entropy gossip round every K ops
-       (injected faults drop edges; later rounds absorb them).  Checks
-       per-shard recovery, per-shard head = acked accounting, and —
-       after a fault-free quiesce — the cross-shard convergence
-       invariant (every shard reconstructs the authoritative union).
-       With --compact each shard periodically drops its oplog prefix
-       below its latest durable snapshot; with --dir the run ends with
-       an on-disk audit: no retained record at or below the horizon,
-       the log bounded by the snapshot cadence, and a reopen that
-       reaches the exact pre-close head.  --kill-at also ticks on the
-       compaction path's fault sites (tmp writes, fsync, rename, fd
-       switch-over), giving the torn-compaction crash matrix.
-
-     esm_syncd --soak --chaos-net --shards N [--gossip-every K]
-       The sharded chaos-net soak: one chaos network per shard,
-       sessions pinned round-robin (fresh row ids stay in the pinned
-       shard's residue class), gossip interleaved with the faulty
-       traffic, then heal, quiesce, and assert per-shard no-lost/no-dup
-       accounting plus cross-shard convergence.
+     esm_syncd --soak [--shards N [--gossip-every K] [--compact]]
+              [--chaos-net] [--seed N] [--ops N] [--sessions N]
+              [--dir D [--kill-at N]]
+     esm_syncd --connect ADDR [--seed N] [--ops N] [--sessions N]
+       One seeded workload generator (Esm_sync.Soak) driven against a
+       target: one store, a group of N gossiping shards (--shards),
+       either of them behind a deterministic chaos network per store
+       (--chaos-net), or a --listen daemon over TCP (--connect, whose
+       session names and row ids are pid-unique so several processes
+       can share one server).  Every run records what its clients saw
+       and checks it with Esm_sync.History: each store's head equals
+       the commits acked at it, no in-doubt submit stays unresolved, no
+       session reads back in version, and every session's final pull
+       reaches its store's head.  The in-process targets add their own
+       checks: crash+recover = the uncrashed views, a batched burst =
+       its deltas one at a time, nonzero session-poll cache hits,
+       cross-shard convergence after gossip quiesces, and with
+       --compact --dir an on-disk audit of the compacted logs.  Exit 1
+       on any violation.  --dir persists the stores (D/log.bin, or
+       D/shard-i/ per shard); --kill-at N hard-exits (status 130, no
+       flushing, mid-record when N lands there) after the Nth durable
+       write tick, compaction stages included.
 
      esm_syncd --check-dir D [--seed N] [--ops N] [--sessions N]
               [--shards N [--compact]]
        The recovery half: rerun the identical soak (same seed, same
        CHAOS_SEED schedule — chaos visits are counted per site, so the
-       uncrashed rerun performs the same commit sequence) into a
-       scratch directory D.oracle, then reopen the killed log in D
-       *outside* chaos and diff the recovered store against the
-       oracle's prefix at the recovered version.  Exit 1 on any
-       divergence or on unrecoverable corruption.  With --shards the
-       oracle is the rerun's recorded per-version view history (a
-       from-zero oplog replay is impossible once compaction dropped
-       the prefix) and every killed shard directory is checked.
+       uncrashed rerun performs the same commit sequence) into
+       D.oracle, recording every committed version's views, then reopen
+       each killed store in D outside chaos: its (version, views) must
+       appear in that history.  Exit 1 on any divergence or on
+       unrecoverable corruption.
 
    All modes honour CHAOS_SEED (and optional CHAOS_RATE): fault
-   injection at the sync chaos sites (append/replay/rebase/durable
-   write) plus the library-wide ones, with the injection/fallback
-   counts reported. *)
+   injection at the sync and net chaos sites plus the library-wide
+   ones, with the injection/fallback counts reported. *)
 
 open Esm_core
-open Esm_relational
 open Esm_sync
-
-let eng_lens =
-  Query.lens_of_string ~schema:Workload.employees_schema ~key:[ "id" ]
-    {|employees | where dept = "Engineering" | select id, name, dept|}
-
-let default_codec =
-  let schema_b =
-    Table.schema (Esm_lens.Lens.get eng_lens (Workload.employees ~seed:1 ~size:1))
-  in
-  Wire.durable_op_codec ~schema_a:Workload.employees_schema ~schema_b
-
-let default_packed ~seed ~size =
-  Concrete.packed_of_lens ~vwb:false
-    ~init:(Workload.employees ~seed ~size)
-    ~eq_state:Table.equal eng_lens
-
-let default_store ?dir ~seed ~size () : Wire.rstore =
-  let persist =
-    Option.map
-      (fun dir ->
-        Store.persist ~fsync:(Durable_log.Fsync_every 8) ~dir default_codec)
-      dir
-  in
-  Store.of_packed ~name:"employees" ~snapshot_every:8
-    ~apply_da:Row_delta.apply_all ~apply_db:Row_delta.apply_all ?persist
-    (default_packed ~seed ~size)
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then (
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Sys.rmdir path)
-    else Sys.remove path
-
-(* ------------------------------------------------------------------ *)
-(* Sharded store helpers                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Row ownership for the employees substrate: id mod shards.  Both the
-   A rows and the B view rows carry the id as their first column, and
-   the congruence is invertible — the sharded net soak generates each
-   session's fresh ids inside its own shard's residue class, so a
-   session's commits land exactly at its pinned shard. *)
-let shard_of_emp_row ~shards (row : Row.t) : int =
-  match Row.to_list row with
-  | Value.Int id :: _ -> ((id mod shards) + shards) mod shards
-  | _ -> 0
-
-let shard_dir dir i = Filename.concat dir (Printf.sprintf "shard-%d" i)
-
-(* Each shard's initial state is its own partition of the seed table:
-   the union of the partitions is the unsharded init, so the
-   authoritative (union) views line up with the single-store soak. *)
-let partition_init ~shards ~seed ~size : Table.t array =
-  let init = Workload.employees ~seed ~size in
-  let buckets = Array.make shards [] in
-  List.iter
-    (fun r ->
-      let i = shard_of_emp_row ~shards r in
-      buckets.(i) <- r :: buckets.(i))
-    (Table.rows init);
-  Array.map
-    (fun rows -> Table.of_rows Workload.employees_schema (List.rev rows))
-    buckets
-
-let shard_packed ~shards ~seed ~size i =
-  let parts = partition_init ~shards ~seed ~size in
-  Concrete.packed_of_lens ~vwb:false ~init:parts.(i) ~eq_state:Table.equal
-    eng_lens
-
-let shard_group ?dir ~seed ~size ~shards () : Shard.Relational.rt =
-  let stores =
-    Array.init shards (fun i ->
-        let persist =
-          Option.map
-            (fun d ->
-              Store.persist ~fsync:(Durable_log.Fsync_every 8)
-                ~dir:(shard_dir d i) default_codec)
-            dir
-        in
-        Store.of_packed
-          ~name:(Printf.sprintf "employees-%d" i)
-          ~snapshot_every:8 ~apply_da:Row_delta.apply_all
-          ~apply_db:Row_delta.apply_all ?persist
-          (shard_packed ~shards ~seed ~size i))
-  in
-  Shard.make ~stores
-    ~route:
-      (Shard.Relational.route_op ~shards
-         ~shard_of_row:(shard_of_emp_row ~shards))
-    ()
 
 (* ------------------------------------------------------------------ *)
 (* Script mode                                                         *)
@@ -219,9 +83,9 @@ let run_esmql_script (path : string) : int =
     [
       {
         Esm_ql.Check.bname = "employees";
-        bschema = Workload.employees_schema;
+        bschema = Esm_relational.Workload.employees_schema;
         bkey = [ "id" ];
-        binit = Workload.employees ~seed:11 ~size:24;
+        binit = Esm_relational.Workload.employees ~seed:11 ~size:24;
       };
     ]
   in
@@ -242,7 +106,7 @@ let run_esmql_script (path : string) : int =
 let run_script (path : string) : int =
   if Filename.check_suffix path ".esmql" then run_esmql_script path
   else
-  let srv = Wire.serve (default_store ~seed:11 ~size:24 ()) in
+  let srv = Wire.serve (Soak.default_store ~seed:11 ~size:24 ()) in
   let ic = open_in path in
   let bad = ref false in
   (try
@@ -277,387 +141,7 @@ let run_script (path : string) : int =
   if !bad then 2 else 0
 
 (* ------------------------------------------------------------------ *)
-(* Soak mode                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let soak ?dir ?(quiet = false) ~seed ~ops:n_ops ~sessions:n_sessions () :
-    int * Wire.rstore =
-  let store = default_store ?dir ~seed ~size:48 () in
-  let r = Workload.rng ~seed in
-  let sessions =
-    List.init n_sessions (fun i ->
-        let side = if i mod 2 = 0 then `A else `B in
-        Session.bind store ~name:(Printf.sprintf "s%d" (i + 1)) ~side)
-  in
-  let violations = ref [] in
-  let fail fmt =
-    Printf.ksprintf (fun s -> violations := s :: !violations) fmt
-  in
-  let fresh_id = ref 100_000 in
-  let new_row side =
-    incr fresh_id;
-    let name =
-      Workload.pick r [ "nu"; "xi"; "pi"; "rho" ] ^ string_of_int !fresh_id
-    in
-    match side with
-    | `A ->
-        Row.of_list
-          [
-            Value.Int !fresh_id;
-            Value.Str name;
-            Value.Str (Workload.pick r [ "Engineering"; "Sales"; "Ops" ]);
-            Value.Int (40_000 + (500 * Workload.int r 100));
-            Value.Str (name ^ "@example.com");
-          ]
-    | `B ->
-        (* view rows must satisfy the lens predicate to be puttable *)
-        Row.of_list
-          [ Value.Int !fresh_id; Value.Str name; Value.Str "Engineering" ]
-  in
-  let random_deltas (sess : Wire.rsession) =
-    let view = match Session.view sess with `A t | `B t -> t in
-    let rows = Table.rows view in
-    let n = 1 + Workload.int r 4 in
-    List.init n (fun _ ->
-        if rows = [] || Workload.int r 3 = 0 then
-          Row_delta.Add (new_row (Session.side sess))
-        else Row_delta.Remove (Workload.pick r rows))
-  in
-  let commits = ref 0 and failures = ref 0 and recoveries = ref 0 in
-  let crash_every = max 5 (n_ops / 8) in
-  for i = 1 to n_ops do
-    let sess = Workload.pick r sessions in
-    let op =
-      match Session.side sess with
-      | `A -> Store.Batch_a (random_deltas sess)
-      | `B -> Store.Batch_b (random_deltas sess)
-    in
-    (match Session.submit_rebase sess op with
-    | Ok _ -> incr commits
-    | Error e when e.Error.kind = Error.Conflict ->
-        (* submit_rebase pulled to head first; a conflict here means the
-           optimistic check is broken *)
-        fail "op %d: conflict after rebase: %s" i (Error.message e)
-    | Error _ ->
-        (* a failing put (or injected fault) rolls back and appends
-           nothing — legitimate under chaos, checked by recovery below *)
-        incr failures);
-    (* the poll traffic: the session that just synced re-polls (the
-       overwhelmingly common "nothing changed" case — must hit the
-       short-circuit), and a random bystander polls too (hit or miss
-       depending on whether it saw the commit) *)
-    ignore (Session.pull sess);
-    ignore (Session.pull (Workload.pick r sessions));
-    if i mod crash_every = 0 then (
-      (* recovery invariant: crash + replay = the uncrashed store *)
-      let va = Store.view_a store and vb = Store.view_b store in
-      let v = Store.version store in
-      Store.crash store;
-      Store.recover store;
-      incr recoveries;
-      if Store.version store <> v then
-        fail "op %d: recovery stopped at version %d, expected %d" i
-          (Store.version store) v;
-      if not (Table.equal (Store.view_a store) va) then
-        fail "op %d: recovered A view differs from pre-crash" i;
-      if not (Table.equal (Store.view_b store) vb) then
-        fail "op %d: recovered B view differs from pre-crash" i)
-  done;
-  (* batching invariant: replaying the oplog with every batch split
-     into one-at-a-time delta commits lands on the same views *)
-  Chaos.protected (fun () ->
-      let oracle = default_store ~seed ~size:48 () in
-      let commit session op =
-        match Store.commit ~session oracle op with
-        | Ok _ -> ()
-        | Error e -> fail "oracle replay commit failed: %s" (Error.message e)
-      in
-      List.iter
-        (fun (e : _ Oplog.entry) ->
-          match e.Oplog.op with
-          | Store.Batch_a ds ->
-              List.iter (fun d -> commit e.Oplog.session (Store.Batch_a [ d ])) ds
-          | Store.Batch_b ds ->
-              List.iter (fun d -> commit e.Oplog.session (Store.Batch_b [ d ])) ds
-          | op -> commit e.Oplog.session op)
-        (Store.entries_since store 0);
-      if not (Table.equal (Store.view_a oracle) (Store.view_a store)) then
-        fail "batched A view differs from one-at-a-time oracle";
-      if not (Table.equal (Store.view_b oracle) (Store.view_b store)) then
-        fail "batched B view differs from one-at-a-time oracle");
-  (* convergence invariant: every session pulls to the store head *)
-  List.iter
-    (fun sess ->
-      ignore (Session.pull sess);
-      if Session.base sess <> Store.version store then
-        fail "session %s converged at %d, store head is %d"
-          (Session.name sess) (Session.base sess) (Store.version store))
-    sessions;
-  if not quiet then begin
-    Printf.printf
-      "soak: seed=%d ops=%d sessions=%d commits=%d failed=%d recoveries=%d \
-       head=%d%s\n"
-      seed n_ops n_sessions !commits !failures !recoveries
-      (Store.version store)
-      (match dir with None -> "" | Some d -> " dir=" ^ d);
-    (* the incremental layer's poll statistics: the CI soak asserts a
-       nonzero hit count (--require-poll-hits), so the caches are
-       provably exercised, not silently bypassed *)
-    let ph, pm = Esm_incr.Stats.counts "session.poll" in
-    let vh, vm = Esm_incr.Stats.counts "store.view" in
-    let rate h m = if h + m = 0 then 0.0 else 100.0 *. float h /. float (h + m) in
-    Printf.printf
-      "poll: hits=%d misses=%d hit-rate=%.1f%%  store-view: hits=%d \
-       misses=%d hit-rate=%.1f%%\n"
-      ph pm (rate ph pm) vh vm (rate vh vm)
-  end;
-  match !violations with
-  | [] ->
-      if not quiet then print_endline "soak: all invariants hold";
-      (0, store)
-  | vs ->
-      List.iter (fun v -> Printf.printf "VIOLATION: %s\n" v) (List.rev vs);
-      (1, store)
-
-(* ------------------------------------------------------------------ *)
-(* Sharded soak: N shards, routed commits, gossip replication,         *)
-(* snapshot-anchored compaction, per-shard crash/recovery              *)
-(* ------------------------------------------------------------------ *)
-
-(* Reopen one shard's killed/closed directory outside fault injection. *)
-let reopen_shard ~seed ~shards i (d : string) =
-  Store.reopen
-    ~name:(Printf.sprintf "employees-%d" i)
-    ~snapshot_every:8 ~apply_da:Row_delta.apply_all
-    ~apply_db:Row_delta.apply_all ~codec:default_codec ~dir:(shard_dir d i)
-    (shard_packed ~shards ~seed ~size:48 i)
-
-(* The sharded soak drives routed commits at the group, gossips every
-   [gossip_every] ops (faults drop edges; anti-entropy retries), and —
-   with [compact] — periodically compacts every shard's oplog to its
-   latest snapshot.  It records every committed version's views per
-   shard (the compaction-proof oracle [check_shards] replays against:
-   with the log prefix dropped, a from-zero replay is impossible by
-   design).  Stores are closed before returning; with a persisted
-   compacting run the on-disk audit then asserts the acceptance
-   criterion directly: no retained record below the latest snapshot
-   version, bounded log length, and a reopen that reaches the exact
-   pre-close head. *)
-let shard_soak ?dir ?(quiet = false) ~compact:do_compact ~seed ~ops:n_ops
-    ~sessions:n_sessions ~shards:n_shards ~gossip_every () :
-    int * (int, Table.t * Table.t) Hashtbl.t array =
-  let group = shard_group ?dir ~seed ~size:48 ~shards:n_shards () in
-  let stores = Array.init n_shards (Shard.store group) in
-  let r = Workload.rng ~seed in
-  let violations = ref [] in
-  let fail fmt =
-    Printf.ksprintf (fun s -> violations := s :: !violations) fmt
-  in
-  let histories = Array.init n_shards (fun _ -> Hashtbl.create 64) in
-  let record j =
-    Hashtbl.replace histories.(j)
-      (Store.version stores.(j))
-      (Store.view_a stores.(j), Store.view_b stores.(j))
-  in
-  Array.iteri (fun j _ -> record j) stores;
-  let acked = Array.make n_shards 0 in
-  let session_names =
-    List.init n_sessions (fun i -> Printf.sprintf "s%d" (i + 1))
-  in
-  let fresh_id = ref 100_000 in
-  let new_row side =
-    incr fresh_id;
-    let name =
-      Workload.pick r [ "nu"; "xi"; "pi"; "rho" ] ^ string_of_int !fresh_id
-    in
-    match side with
-    | `A ->
-        Row.of_list
-          [
-            Value.Int !fresh_id;
-            Value.Str name;
-            Value.Str (Workload.pick r [ "Engineering"; "Sales"; "Ops" ]);
-            Value.Int (40_000 + (500 * Workload.int r 100));
-            Value.Str (name ^ "@example.com");
-          ]
-    | `B ->
-        Row.of_list
-          [ Value.Int !fresh_id; Value.Str name; Value.Str "Engineering" ]
-  in
-  let random_deltas side =
-    (* removals draw from the authoritative union so a delta can target
-       any shard — the router, not the workload, decides ownership *)
-    let pool =
-      match side with
-      | `A -> Shard.Relational.authoritative_a group
-      | `B -> Shard.Relational.authoritative_b group
-    in
-    let rows = Table.rows pool in
-    let n = 1 + Workload.int r 4 in
-    List.init n (fun _ ->
-        if rows = [] || Workload.int r 3 = 0 then Row_delta.Add (new_row side)
-        else Row_delta.Remove (Workload.pick r rows))
-  in
-  let commits = ref 0 and failures = ref 0 and recoveries = ref 0 in
-  let compactions = ref 0 and compaction_errors = ref 0 in
-  let crash_every = max 5 (n_ops / 8) in
-  let compact_every = max 10 (n_ops / 8) in
-  for i = 1 to n_ops do
-    let session = Workload.pick r session_names in
-    let op =
-      if Workload.int r 2 = 0 then Store.Batch_a (random_deltas `A)
-      else Store.Batch_b (random_deltas `B)
-    in
-    List.iter
-      (fun (j, outcome) ->
-        match outcome with
-        | Ok _ ->
-            incr commits;
-            acked.(j) <- acked.(j) + 1;
-            record j
-        | Error _ ->
-            (* a failed part rolls back at its shard only; rows are
-               single-owner, so no row is left half-updated *)
-            incr failures)
-      (Shard.submit group ~session op);
-    if i mod gossip_every = 0 then Shard.gossip_round group;
-    if do_compact && i mod compact_every = 0 then
-      Array.iteri
-        (fun j res ->
-          match res with
-          | Ok 0 -> ()
-          | Ok _ ->
-              incr compactions;
-              if Store.horizon stores.(j) = 0 then
-                fail "op %d shard %d: compaction dropped entries, horizon 0"
-                  i j
-          | Error _ ->
-              (* an injected fault mid-compaction: the full log is
-                 still intact (write-ahead ordering), try again later *)
-              incr compaction_errors)
-        (Shard.compact group);
-    if i mod crash_every = 0 then
-      (* per-shard recovery invariant: crash + replay (which after a
-         compaction starts from the snapshot horizon) = uncrashed *)
-      Array.iteri
-        (fun j st ->
-          let va = Store.view_a st and vb = Store.view_b st in
-          let v = Store.version st in
-          Store.crash st;
-          Store.recover st;
-          incr recoveries;
-          if Store.version st <> v then
-            fail "op %d shard %d: recovery stopped at %d, expected %d" i j
-              (Store.version st) v;
-          if not (Table.equal (Store.view_a st) va) then
-            fail "op %d shard %d: recovered A view differs" i j;
-          if not (Table.equal (Store.view_b st) vb) then
-            fail "op %d shard %d: recovered B view differs" i j)
-        stores
-  done;
-  (* head accounting: every shard's head is exactly its acked commits *)
-  Array.iteri
-    (fun j st ->
-      if Store.version st <> acked.(j) then
-        fail "shard %d: head %d <> %d acked commits" j (Store.version st)
-          acked.(j))
-    stores;
-  (* final anti-entropy on a healed net, then the cross-shard invariant *)
-  Chaos.protected (fun () ->
-      if not (Shard.gossip_until_quiescent ~max_rounds:(8 * n_shards) group)
-      then fail "gossip did not quiesce on a fault-free net";
-      if not (Shard.Relational.converged group) then
-        fail "shards did not converge to the same entangled whole");
-  let heads = Shard.heads group in
-  let pre_close =
-    Array.map (fun st -> (Store.version st, Store.view_a st, Store.view_b st))
-      stores
-  in
-  (* a last fault-free compaction so the on-disk audit below sees the
-     tightest horizon the protocol can justify *)
-  if do_compact then
-    Chaos.protected (fun () ->
-        Array.iteri
-          (fun j res ->
-            match res with
-            | Ok _ -> ()
-            | Error e ->
-                fail "shard %d: fault-free compaction failed: %s" j
-                  (Error.message e))
-          (Shard.compact group));
-  Array.iter Store.close stores;
-  (match dir with
-  | Some d when do_compact ->
-      (* the acceptance criterion, on disk: below the latest snapshot
-         version the log holds nothing, the retained suffix is bounded
-         by the snapshot cadence, and recovery still reaches the exact
-         pre-close head *)
-      Array.iteri
-        (fun j (v, va, vb) ->
-          (match Durable_log.load ~dir:(shard_dir d j) with
-          | Error e ->
-              fail "shard %d: post-soak load failed: %s" j (Error.message e)
-          | Ok rec_ ->
-              let hz = rec_.Durable_log.horizon in
-              if v >= 8 && hz = 0 then
-                fail "shard %d: head %d but horizon still 0 after --compact"
-                  j v;
-              List.iter
-                (fun (e : Durable_log.raw_entry) ->
-                  if e.Durable_log.version <= hz then
-                    fail "shard %d: retained entry %d at or below horizon %d"
-                      j e.Durable_log.version hz)
-                rec_.Durable_log.entries;
-              let retained = List.length rec_.Durable_log.entries in
-              if retained > 8 then
-                fail
-                  "shard %d: %d entries retained — log not bounded by the \
-                   snapshot cadence"
-                  j retained;
-              (match rec_.Durable_log.snapshot with
-              | Some (sv, _) when sv >= hz -> ()
-              | Some (sv, _) ->
-                  fail "shard %d: snapshot %d below horizon %d" j sv hz
-              | None -> fail "shard %d: no snapshot behind horizon %d" j hz));
-          match Chaos.protected (fun () -> reopen_shard ~seed ~shards:n_shards j d) with
-          | Error e ->
-              fail "shard %d: reopen failed: %s" j (Error.message e)
-          | Ok st ->
-              if Store.version st <> v then
-                fail "shard %d: reopened at %d, pre-close head was %d" j
-                  (Store.version st) v;
-              if not (Table.equal (Store.view_a st) va) then
-                fail "shard %d: reopened A view differs from pre-close" j;
-              if not (Table.equal (Store.view_b st) vb) then
-                fail "shard %d: reopened B view differs from pre-close" j;
-              Store.close st)
-        pre_close
-  | _ -> ());
-  if not quiet then begin
-    let g = Shard.stats group in
-    Printf.printf
-      "shard-soak: seed=%d ops=%d sessions=%d shards=%d commits=%d failed=%d \
-       recoveries=%d compactions=%d(+%d absorbed) heads=[%s]%s\n"
-      seed n_ops n_sessions n_shards !commits !failures !recoveries
-      !compactions !compaction_errors
-      (String.concat ";" (Array.to_list (Array.map string_of_int heads)))
-      (match dir with None -> "" | Some d -> " dir=" ^ d);
-    Printf.printf
-      "gossip: rounds=%d shipped=%d resyncs=%d skipped-edges=%d\n"
-      g.Shard.rounds g.Shard.shipped g.Shard.resyncs g.Shard.skipped_edges
-  end;
-  match !violations with
-  | [] ->
-      if not quiet then
-        print_endline "shard-soak: all cross-shard invariants hold";
-      (0, histories)
-  | vs ->
-      List.iter (fun v -> Printf.printf "VIOLATION: %s\n" v) (List.rev vs);
-      (1, histories)
-
-(* ------------------------------------------------------------------ *)
-(* Check mode: reopen a (possibly killed) persisted soak and diff it   *)
-(* against an uncrashed oracle rerun                                   *)
+(* Chaos from the environment                                          *)
 (* ------------------------------------------------------------------ *)
 
 let with_env_chaos (f : unit -> 'a) : 'a =
@@ -682,127 +166,6 @@ let with_env_chaos (f : unit -> 'a) : 'a =
         rate (Chaos.injected c) (Chaos.fallbacks c);
       out
 
-let check ~seed ~ops ~sessions (dir : string) : int =
-  (* The oracle: the same soak, uncrashed, persisted into a scratch
-     directory.  Chaos schedules are deterministic per (seed, site,
-     visit), and persistence itself visits sync.durable.write, so the
-     rerun must persist too — only then does its commit sequence match
-     the killed run's prefix exactly. *)
-  let scratch = dir ^ ".oracle" in
-  rm_rf scratch;
-  let ocode, oracle =
-    with_env_chaos (fun () -> soak ~quiet:true ~dir:scratch ~seed ~ops ~sessions ())
-  in
-  Store.close oracle;
-  if ocode <> 0 then (
-    Printf.printf "check: oracle rerun violated soak invariants\n";
-    1)
-  else
-    (* Reopen and diff OUTSIDE chaos: recovery of a valid log must
-       succeed unconditionally, and extra chaos visits here would
-       desynchronise nothing but still inject spurious faults. *)
-    match
-      Store.reopen ~name:"employees" ~snapshot_every:8
-        ~apply_da:Row_delta.apply_all ~apply_db:Row_delta.apply_all
-        ~codec:default_codec ~dir
-        (default_packed ~seed ~size:48)
-    with
-    | Error e ->
-        Printf.printf "check: reopen of %s failed: %s\n" dir (Error.message e);
-        1
-    | Ok recovered ->
-        let h = Store.head_version recovered in
-        let oh = Store.head_version oracle in
-        let bad = ref [] in
-        let fail fmt =
-          Printf.ksprintf (fun s -> bad := s :: !bad) fmt
-        in
-        if h > oh then
-          fail "recovered head %d is beyond the oracle head %d" h oh
-        else begin
-          (* replay the oracle's first h commits into a fresh in-memory
-             store: the recovered views must match that prefix exactly *)
-          let reference = default_store ~seed ~size:48 () in
-          List.iter
-            (fun (e : _ Oplog.entry) ->
-              if e.Oplog.version <= h then
-                match
-                  Store.commit ~session:e.Oplog.session reference e.Oplog.op
-                with
-                | Ok _ -> ()
-                | Error er ->
-                    fail "oracle prefix replay failed at %d: %s"
-                      e.Oplog.version (Error.message er))
-            (Store.entries_since oracle 0);
-          if Store.version reference <> h then
-            fail "oracle prefix stops at %d, recovered head is %d"
-              (Store.version reference) h;
-          if not (Table.equal (Store.view_a reference) (Store.view_a recovered))
-          then fail "recovered A view diverges from the oracle prefix";
-          if not (Table.equal (Store.view_b reference) (Store.view_b recovered))
-          then fail "recovered B view diverges from the oracle prefix"
-        end;
-        Store.close recovered;
-        Printf.printf "check: dir=%s recovered=%d oracle=%d\n" dir h oh;
-        (match !bad with
-        | [] ->
-            print_endline "check: recovered store matches the oracle prefix";
-            0
-        | vs ->
-            List.iter (fun v -> Printf.printf "VIOLATION: %s\n" v) (List.rev vs);
-            1)
-
-(* The sharded recovery check.  The unsharded [check] replays the
-   oracle's oplog prefix from zero — impossible once compaction drops
-   the prefix, which is the point of the horizon.  So the sharded
-   oracle is the recorded per-version view history of an identical
-   uncrashed rerun (same seed, same chaos schedule): reopen each killed
-   shard outside chaos and the recovered (version, views) must appear
-   verbatim in that shard's history. *)
-let check_shards ~seed ~ops ~sessions ~shards ~gossip_every ~compact
-    (dir : string) : int =
-  let scratch = dir ^ ".oracle" in
-  rm_rf scratch;
-  let ocode, histories =
-    with_env_chaos (fun () ->
-        shard_soak ~quiet:true ~dir:scratch ~compact ~seed ~ops ~sessions
-          ~shards ~gossip_every ())
-  in
-  if ocode <> 0 then (
-    Printf.printf "check: sharded oracle rerun violated soak invariants\n";
-    1)
-  else begin
-    let bad = ref [] in
-    let fail fmt = Printf.ksprintf (fun s -> bad := s :: !bad) fmt in
-    for j = 0 to shards - 1 do
-      match reopen_shard ~seed ~shards j dir with
-      | Error e -> fail "shard %d: reopen of %s failed: %s" j dir (Error.message e)
-      | Ok st ->
-          let h = Store.version st in
-          (match Hashtbl.find_opt histories.(j) h with
-          | None ->
-              fail "shard %d: recovered head %d never committed in the oracle"
-                j h
-          | Some (va, vb) ->
-              if not (Table.equal (Store.view_a st) va) then
-                fail "shard %d: recovered A view diverges from the oracle at %d"
-                  j h;
-              if not (Table.equal (Store.view_b st) vb) then
-                fail "shard %d: recovered B view diverges from the oracle at %d"
-                  j h);
-          Printf.printf "check: shard=%d dir=%s recovered=%d\n" j
-            (shard_dir dir j) h;
-          Store.close st
-    done;
-    match !bad with
-    | [] ->
-        print_endline "check: every recovered shard matches the oracle history";
-        0
-    | vs ->
-        List.iter (fun v -> Printf.printf "VIOLATION: %s\n" v) (List.rev vs);
-        1
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Listen mode: the real daemon                                        *)
 (* ------------------------------------------------------------------ *)
@@ -813,7 +176,7 @@ let run_listen ?dir (addr_s : string) : int =
       Printf.eprintf "esm_syncd: %s\n" (Error.message e);
       2
   | Ok addr ->
-      let store = default_store ?dir ~seed:11 ~size:48 () in
+      let store = Soak.default_store ?dir ~seed:11 ~size:48 () in
       let srv = Transport.Server.listen addr (Wire.serve store) in
       Printf.printf "esm_syncd: listening on %s\n%!"
         (Transport.string_of_addr (Transport.Server.addr srv));
@@ -831,438 +194,6 @@ let run_listen ?dir (addr_s : string) : int =
       0
 
 (* ------------------------------------------------------------------ *)
-(* The remote workload shared by --connect and --soak --chaos-net      *)
-(* ------------------------------------------------------------------ *)
-
-(* One seeded client workload over a set of remote sessions, with the
-   at-most-once accounting the chaos-net soak asserts:
-
-     applied          submits acked [ok] — in the oplog exactly once;
-     rejected         submits answered with a definite error/conflict —
-                      rolled back, not in the oplog;
-     in-doubt         submits that failed transiently: the [resolve]
-                      callback (chaos soak: heal the net, resend the
-                      same envelope id) settles each one into one of
-                      the two buckets above, or counts it unresolved.
-
-   The no-lost/no-dup invariant is then exact: the store head — one
-   oplog entry per applied commit — must equal [applied]. *)
-type remote_stats = {
-  mutable applied : int;
-  mutable rejected : int;
-  mutable resolved_applied : int;
-  mutable resolved_rejected : int;
-  mutable unresolved : int;
-  mutable read_failures : int;
-}
-
-(* [next_id] overrides fresh-row id generation per session (the sharded
-   net soak keeps each session's ids in its shard's residue class);
-   [on_applied] fires once per acked commit (per-shard accounting);
-   [tick] fires after every op (the gossip cadence hook). *)
-let remote_workload ?next_id ?(on_applied = fun _ -> ())
-    ?(tick = fun _ -> ()) ~seed ~ops:n_ops
-    ~(resolve :
-       Transport.Remote_session.t -> (Wire.response, Error.t) result option)
-    (sessions : Transport.Remote_session.t list) : remote_stats =
-  let module R = Transport.Remote_session in
-  let r = Workload.rng ~seed in
-  let stats =
-    {
-      applied = 0;
-      rejected = 0;
-      resolved_applied = 0;
-      resolved_rejected = 0;
-      unresolved = 0;
-      read_failures = 0;
-    }
-  in
-  (* row ids unique across concurrent client processes *)
-  let fresh_id = ref (Unix.getpid () * 1_000_000) in
-  let gen_id s =
-    match next_id with
-    | Some f -> f s
-    | None ->
-        incr fresh_id;
-        !fresh_id
-  in
-  let new_row s side =
-    let id = gen_id s in
-    let name = Workload.pick r [ "nu"; "xi"; "pi"; "rho" ] ^ string_of_int id in
-    match side with
-    | `A ->
-        Row.of_list
-          [
-            Value.Int id;
-            Value.Str name;
-            Value.Str (Workload.pick r [ "Engineering"; "Sales"; "Ops" ]);
-            Value.Int (40_000 + (500 * Workload.int r 100));
-            Value.Str (name ^ "@example.com");
-          ]
-    | `B ->
-        Row.of_list [ Value.Int id; Value.Str name; Value.Str "Engineering" ]
-  in
-  let seen : (string, Row.t list) Hashtbl.t = Hashtbl.create 16 in
-  let sessions = Array.of_list sessions in
-  for i = 1 to n_ops do
-    let s = sessions.(Workload.int r (Array.length sessions)) in
-    (* reads refresh the removal pool; read failures are harmless to the
-       accounting (Get/Pull/Ping never touch the oplog) *)
-    if i mod 5 = 0 then begin
-      match R.view s with
-      | Ok (_, rows) -> Hashtbl.replace seen (R.name s) rows
-      | Error _ -> stats.read_failures <- stats.read_failures + 1
-    end;
-    if i mod 11 = 0 then
-      (match R.ping s with
-      | Ok () -> ()
-      | Error _ -> stats.read_failures <- stats.read_failures + 1);
-    let adds =
-      List.init (1 + Workload.int r 3) (fun _ ->
-          Row_delta.Add (new_row s (R.side s)))
-    in
-    let deltas =
-      match Hashtbl.find_opt seen (R.name s) with
-      | Some (_ :: _ as rows) when Workload.int r 3 = 0 ->
-          Row_delta.Remove (Workload.pick r rows) :: adds
-      | _ -> adds
-    in
-    (match R.submit s (`Batch deltas) with
-    | Ok _ ->
-        stats.applied <- stats.applied + 1;
-        on_applied s
-    | Error e when Error.is_transient e -> (
-        (* outcome unknown: the last envelope id may or may not have
-           committed.  Settle it now — by dedup the resend can never
-           double-apply, so the answer is authoritative. *)
-        match resolve s with
-        | None -> stats.unresolved <- stats.unresolved + 1
-        | Some (Ok (Wire.Resp_ok _)) ->
-            stats.resolved_applied <- stats.resolved_applied + 1;
-            on_applied s
-        | Some (Ok _) ->
-            stats.resolved_rejected <- stats.resolved_rejected + 1
-        | Some (Error _) -> stats.unresolved <- stats.unresolved + 1)
-    | Error _ -> stats.rejected <- stats.rejected + 1);
-    (if Workload.int r 4 = 0 then
-       match R.pull s with
-       | Ok _ -> ()
-       | Error _ -> stats.read_failures <- stats.read_failures + 1);
-    tick i
-  done;
-  stats
-
-let report_convergence ~label (store : Wire.rstore)
-    (sessions : Transport.Remote_session.t list) : int =
-  let module R = Transport.Remote_session in
-  let head = Store.version store in
-  let converged =
-    List.fold_left
-      (fun n s ->
-        match R.pull s with
-        | Ok (v, _) when v = head -> n + 1
-        | Ok (v, _) ->
-            Printf.printf "%s: session %s stopped at %d, head is %d\n" label
-              (R.name s) v head;
-            n
-        | Error e ->
-            Printf.printf "%s: session %s final pull failed: %s\n" label
-              (R.name s) (Error.message e);
-            n)
-      0 sessions
-  in
-  Printf.printf "%s: converged=%d/%d head=%d\n" label converged
-    (List.length sessions) head;
-  if converged = List.length sessions then 0 else 1
-
-(* ------------------------------------------------------------------ *)
-(* Connect mode: the real-socket client driver                         *)
-(* ------------------------------------------------------------------ *)
-
-let run_connect ~seed ~ops ~sessions:n_sessions (addr_s : string) : int =
-  let module R = Transport.Remote_session in
-  match Transport.addr_of_string addr_s with
-  | Error e ->
-      Printf.eprintf "esm_syncd: %s\n" (Error.message e);
-      2
-  | Ok addr -> (
-      let pid = Unix.getpid () in
-      let policy = { (Retry.default ~seed ()) with Retry.attempt_timeout = 5.0 } in
-      let bind_one i =
-        let name = Printf.sprintf "c%d-%d" pid (i + 1) in
-        let side = if i mod 2 = 0 then `A else `B in
-        R.bind ~policy (R.tcp_endpoint addr) ~name ~side
-      in
-      let rec bind_all acc i =
-        if i = n_sessions then Ok (List.rev acc)
-        else
-          match bind_one i with
-          | Ok s -> bind_all (s :: acc) (i + 1)
-          | Error e ->
-              List.iter R.close acc;
-              Error (i, e)
-      in
-      match bind_all [] 0 with
-      | Error (i, e) ->
-          Printf.eprintf "connect: bind of session %d failed: %s\n" (i + 1)
-            (Error.message e);
-          1
-      | Ok sessions ->
-          let stats =
-            remote_workload ~seed ~ops ~resolve:(fun s -> Some (R.resolve s))
-              sessions
-          in
-          (* a perfect network: every submit must have a definite
-             outcome and every session must reach at least the head we
-             observe — other client processes may still be committing,
-             so later pulls can legitimately land past it *)
-          let head =
-            match R.pull (List.hd sessions) with
-            | Ok (v, _) -> v
-            | Error _ -> -1
-          in
-          let converged =
-            List.fold_left
-              (fun n s ->
-                match R.pull s with Ok (v, _) when v >= head -> n + 1 | _ -> n)
-              0 sessions
-          in
-          Printf.printf
-            "connect: pid=%d sessions=%d ops=%d applied=%d rejected=%d \
-             resolved=%d/%d unresolved=%d read-failures=%d head=%d \
-             converged=%d/%d\n"
-            pid n_sessions ops stats.applied stats.rejected
-            stats.resolved_applied
-            (stats.resolved_applied + stats.resolved_rejected)
-            stats.unresolved stats.read_failures head converged n_sessions;
-          List.iter (fun s -> ignore (R.bye s); R.close s) sessions;
-          if converged = n_sessions && stats.unresolved = 0 && head >= 0 then 0
-          else 1)
-
-(* ------------------------------------------------------------------ *)
-(* Chaos-net soak: the same workload through the deterministic         *)
-(* fault-injecting network, with exact no-lost/no-dup accounting       *)
-(* ------------------------------------------------------------------ *)
-
-let net_soak ~seed ~ops ~sessions:n_sessions ~require_converged () : int =
-  let module R = Transport.Remote_session in
-  let store = default_store ~seed ~size:48 () in
-  let net = Transport.Chaos_net.create (Wire.serve store) in
-  let clock = Transport.Chaos_net.clock net in
-  let policy =
-    {
-      (Retry.default ~seed ()) with
-      Retry.max_attempts = 8;
-      base_delay = 0.02;
-      attempt_timeout = 0.5;
-      deadline = 60.0;
-    }
-  in
-  (* bind on a quiet net: the interesting chaos is on the data ops *)
-  let sessions =
-    Chaos.protected (fun () ->
-        List.init n_sessions (fun i ->
-            let name = Printf.sprintf "n%d" (i + 1) in
-            let side = if i mod 2 = 0 then `A else `B in
-            match
-              R.bind ~policy ~clock (Transport.Chaos_net.endpoint net) ~name
-                ~side
-            with
-            | Ok s -> s
-            | Error e ->
-                Printf.eprintf "net-soak: bind %s failed: %s\n" name
-                  (Error.message e);
-                exit 1))
-  in
-  (* settling an in-doubt commit = the net heals, the client resends the
-     same envelope id, the dedup window answers truthfully *)
-  let resolve s =
-    Transport.Chaos_net.drain net;
-    Some (Chaos.protected (fun () -> R.resolve s))
-  in
-  let stats = remote_workload ~seed ~ops ~resolve sessions in
-  Transport.Chaos_net.drain net;
-  let violations = ref [] in
-  let fail fmt =
-    Printf.ksprintf (fun s -> violations := s :: !violations) fmt
-  in
-  (* no-lost/no-dup: one oplog entry per acked commit, nothing else *)
-  let acked = stats.applied + stats.resolved_applied in
-  let head = Store.version store in
-  if stats.unresolved > 0 then
-    fail "%d submit(s) could not be settled even on a healed network"
-      stats.unresolved
-  else if head <> acked then
-    fail
-      "store head %d <> %d acked commits — %s"
-      head acked
-      (if head > acked then "a retry double-applied" else "an acked commit was lost");
-  (* convergence: on the healed net every session pulls to the head *)
-  let conv_code =
-    Chaos.protected (fun () -> report_convergence ~label:"net-soak" store sessions)
-  in
-  if require_converged && conv_code <> 0 then
-    fail "--require-converged: not all sessions reached the head";
-  let n = Transport.Chaos_net.stats net in
-  let c = Transport.Core.stats (Transport.Chaos_net.core net) in
-  Printf.printf
-    "net-soak: seed=%d ops=%d sessions=%d applied=%d rejected=%d \
-     resolved=%d+%d unresolved=%d head=%d\n"
-    seed ops n_sessions stats.applied stats.rejected stats.resolved_applied
-    stats.resolved_rejected stats.unresolved head;
-  Printf.printf
-    "net: dropped=%d duped=%d reordered=%d truncated=%d delayed=%d \
-     halfopen=%d  core: requests=%d executed=%d dedup-hits=%d stale=%d \
-     overloads=%d\n"
-    n.Transport.Chaos_net.dropped n.duped n.reordered n.truncated n.delayed
-    n.half_opened c.Transport.Core.requests c.executed c.dedup_hits c.stale
-    c.overloads;
-  match !violations with
-  | [] ->
-      print_endline "net-soak: no lost commits, no duplicated commits";
-      0
-  | vs ->
-      List.iter (fun v -> Printf.printf "VIOLATION: %s\n" v) (List.rev vs);
-      1
-
-(* The sharded chaos-net soak: one chaos network per shard, sessions
-   pinned round-robin to shards (each generating fresh ids inside its
-   shard's residue class, so its commits land at its pinned store),
-   gossip every [gossip_every] ops while the nets are still faulty,
-   then heal, quiesce, and assert the cross-shard accounting: every
-   shard's head equals its acked commits, and every shard reconstructs
-   the authoritative union. *)
-let shard_net_soak ~seed ~ops ~sessions:n_sessions ~shards:n_shards
-    ~gossip_every ~require_converged () : int =
-  let module R = Transport.Remote_session in
-  let group = shard_group ~seed ~size:48 ~shards:n_shards () in
-  let stores = Array.init n_shards (Shard.store group) in
-  let nets =
-    Array.map (fun st -> Transport.Chaos_net.create (Wire.serve st)) stores
-  in
-  let policy =
-    {
-      (Retry.default ~seed ()) with
-      Retry.max_attempts = 8;
-      base_delay = 0.02;
-      attempt_timeout = 0.5;
-      deadline = 60.0;
-    }
-  in
-  let shard_of_name : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let sessions =
-    Chaos.protected (fun () ->
-        List.init n_sessions (fun k ->
-            let shard = k mod n_shards in
-            let name = Printf.sprintf "n%d" (k + 1) in
-            let side = if k mod 2 = 0 then `A else `B in
-            match
-              R.bind ~policy
-                ~clock:(Transport.Chaos_net.clock nets.(shard))
-                (Transport.Chaos_net.endpoint nets.(shard))
-                ~name ~side
-            with
-            | Ok s ->
-                Hashtbl.replace shard_of_name name shard;
-                s
-            | Error e ->
-                Printf.eprintf "shard-net-soak: bind %s failed: %s\n" name
-                  (Error.message e);
-                exit 1))
-  in
-  let drain_all () = Array.iter Transport.Chaos_net.drain nets in
-  let resolve s =
-    drain_all ();
-    Some (Chaos.protected (fun () -> R.resolve s))
-  in
-  let acked = Array.make n_shards 0 in
-  let on_applied s =
-    let j = Hashtbl.find shard_of_name (R.name s) in
-    acked.(j) <- acked.(j) + 1
-  in
-  let idc = ref 0 in
-  let next_id s =
-    (* unique and congruent: id mod shards = the session's pinned shard *)
-    incr idc;
-    let j = Hashtbl.find shard_of_name (R.name s) in
-    ((100_000 + !idc) * n_shards) + j
-  in
-  let tick i = if i mod gossip_every = 0 then Shard.gossip_round group in
-  let stats =
-    remote_workload ~next_id ~on_applied ~tick ~seed ~ops ~resolve sessions
-  in
-  drain_all ();
-  let violations = ref [] in
-  let fail fmt =
-    Printf.ksprintf (fun s -> violations := s :: !violations) fmt
-  in
-  if stats.unresolved > 0 then
-    fail "%d submit(s) could not be settled even on a healed network"
-      stats.unresolved
-  else
-    (* no-lost/no-dup, per shard: sessions are pinned, so each shard's
-       head must equal exactly its own sessions' acked commits *)
-    Array.iteri
-      (fun j st ->
-        if Store.version st <> acked.(j) then
-          fail "shard %d: head %d <> %d acked commits — %s" j
-            (Store.version st) acked.(j)
-            (if Store.version st > acked.(j) then "a retry double-applied"
-             else "an acked commit was lost"))
-      stores;
-  (* heal, quiesce, and lift convergence to the cross-shard property *)
-  Chaos.protected (fun () ->
-      if not (Shard.gossip_until_quiescent ~max_rounds:(8 * n_shards) group)
-      then fail "gossip did not quiesce on the healed net";
-      if not (Shard.Relational.converged group) then
-        fail "shards did not converge to the same entangled whole");
-  let conv_code =
-    Chaos.protected (fun () ->
-        List.fold_left ( + ) 0
-          (List.init n_shards (fun j ->
-               let mine =
-                 List.filter
-                   (fun s -> Hashtbl.find shard_of_name (R.name s) = j)
-                   sessions
-               in
-               report_convergence
-                 ~label:(Printf.sprintf "shard-net-soak[%d]" j)
-                 stores.(j) mine)))
-  in
-  if require_converged && conv_code <> 0 then
-    fail "--require-converged: not all sessions reached their shard's head";
-  let g = Shard.stats group in
-  let sum f =
-    Array.fold_left (fun n net -> n + f (Transport.Chaos_net.stats net)) 0 nets
-  in
-  Printf.printf
-    "shard-net-soak: seed=%d ops=%d sessions=%d shards=%d applied=%d \
-     rejected=%d resolved=%d+%d unresolved=%d heads=[%s]\n"
-    seed ops n_sessions n_shards stats.applied stats.rejected
-    stats.resolved_applied stats.resolved_rejected stats.unresolved
-    (String.concat ";"
-       (Array.to_list (Array.map (fun st -> string_of_int (Store.version st)) stores)));
-  Printf.printf
-    "net: dropped=%d duped=%d reordered=%d truncated=%d delayed=%d \
-     halfopen=%d  gossip: rounds=%d shipped=%d resyncs=%d skipped-edges=%d\n"
-    (sum (fun n -> n.Transport.Chaos_net.dropped))
-    (sum (fun n -> n.Transport.Chaos_net.duped))
-    (sum (fun n -> n.Transport.Chaos_net.reordered))
-    (sum (fun n -> n.Transport.Chaos_net.truncated))
-    (sum (fun n -> n.Transport.Chaos_net.delayed))
-    (sum (fun n -> n.Transport.Chaos_net.half_opened))
-    g.Shard.rounds g.Shard.shipped g.Shard.resyncs g.Shard.skipped_edges;
-  match !violations with
-  | [] ->
-      print_endline
-        "shard-net-soak: no lost commits, no duplicated commits, all shards \
-         converged";
-      0
-  | vs ->
-      List.iter (fun v -> Printf.printf "VIOLATION: %s\n" v) (List.rev vs);
-      1
-
-(* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -1275,11 +206,9 @@ let () =
   let dir = ref "" in
   let kill_at = ref 0 in
   let check_dir = ref "" in
-  let require_poll_hits = ref false in
   let listen = ref "" in
   let connect = ref "" in
   let chaos_net = ref false in
-  let require_converged = ref false in
   let shards = ref 0 in
   let gossip_every = ref 25 in
   let do_compact = ref false in
@@ -1294,9 +223,6 @@ let () =
       ( "--chaos-net",
         Arg.Set chaos_net,
         " with --soak: run the workload through the chaos network" );
-      ( "--require-converged",
-        Arg.Set require_converged,
-        " with --chaos-net: exit 1 unless every session reaches the head" );
       ("--script", Arg.Set_string script, "FILE replay a wire-protocol script");
       ("--soak", Arg.Set do_soak, " run the random multi-session soak");
       ("--seed", Arg.Set_int seed, "N soak workload seed (default 42)");
@@ -1313,9 +239,6 @@ let () =
       ( "--check-dir",
         Arg.Set_string check_dir,
         "D reopen a killed log in D and diff against an uncrashed rerun" );
-      ( "--require-poll-hits",
-        Arg.Set require_poll_hits,
-        " exit 1 if the soak recorded zero session.poll cache hits" );
       ( "--shards",
         Arg.Set_int shards,
         "N partition the soak store across N gossiping shards" );
@@ -1339,65 +262,36 @@ let () =
   if !do_compact && !shards = 0 then (
     prerr_endline "esm_syncd: --compact requires --shards";
     exit 2);
+  let cfg =
+    {
+      Soak.seed = !seed;
+      ops = !ops;
+      sessions = !sessions;
+      shards = !shards;
+      gossip_every = !gossip_every;
+      compact = !do_compact;
+      net = !chaos_net;
+      dir = (if !dir = "" then None else Some !dir);
+    }
+  in
   let code =
-    if !listen <> "" then
-      run_listen ?dir:(if !dir = "" then None else Some !dir) !listen
+    if !listen <> "" then run_listen ?dir:cfg.dir !listen
     else if !connect <> "" then
-      run_connect ~seed:!seed ~ops:!ops ~sessions:!sessions !connect
-    else if !do_soak && !chaos_net then
-      with_env_chaos (fun () ->
-          if !shards > 0 then
-            shard_net_soak ~seed:!seed ~ops:!ops ~sessions:!sessions
-              ~shards:!shards ~gossip_every:!gossip_every
-              ~require_converged:!require_converged ()
-          else
-            net_soak ~seed:!seed ~ops:!ops ~sessions:!sessions
-              ~require_converged:!require_converged ())
+      match Transport.addr_of_string !connect with
+      | Error e ->
+          Printf.eprintf "esm_syncd: %s\n" (Error.message e);
+          2
+      | Ok addr -> Soak.connect ~seed:!seed ~ops:!ops ~sessions:!sessions addr
     else if !script <> "" then with_env_chaos (fun () -> run_script !script)
-    else if !check_dir <> "" then
-      if !shards > 0 then
-        check_shards ~seed:!seed ~ops:!ops ~sessions:!sessions
-          ~shards:!shards ~gossip_every:!gossip_every ~compact:!do_compact
-          !check_dir
-      else check ~seed:!seed ~ops:!ops ~sessions:!sessions !check_dir
-    else if !do_soak && !shards > 0 then begin
-      if !kill_at > 0 then begin
-        if !dir = "" then (
-          prerr_endline "esm_syncd: --kill-at requires --dir";
-          exit 2);
-        Durable_log.set_kill_at (Some !kill_at)
-      end;
-      let code, _histories =
-        with_env_chaos
-          (shard_soak
-             ?dir:(if !dir = "" then None else Some !dir)
-             ~compact:!do_compact ~seed:!seed ~ops:!ops ~sessions:!sessions
-             ~shards:!shards ~gossip_every:!gossip_every)
-      in
-      code
-    end
+    else if !check_dir <> "" then Soak.check ~wrap:with_env_chaos cfg !check_dir
     else if !do_soak then begin
       if !kill_at > 0 then begin
-        if !dir = "" then (
+        if cfg.dir = None then (
           prerr_endline "esm_syncd: --kill-at requires --dir";
           exit 2);
         Durable_log.set_kill_at (Some !kill_at)
       end;
-      let code, store =
-        with_env_chaos
-          (soak
-             ?dir:(if !dir = "" then None else Some !dir)
-             ~seed:!seed ~ops:!ops ~sessions:!sessions)
-      in
-      Store.close store;
-      let poll_hits, _ = Esm_incr.Stats.counts "session.poll" in
-      if !require_poll_hits && poll_hits = 0 then begin
-        print_endline
-          "VIOLATION: --require-poll-hits: the soak recorded zero \
-           session.poll cache hits (the memoized poll path was bypassed)";
-        max code 1
-      end
-      else code
+      with_env_chaos (fun () -> Soak.run cfg)
     end
     else (
       prerr_endline usage;

@@ -654,6 +654,8 @@ module Remote_session = struct
               disconnect ();
               Error (classify exn))
     in
+    (* one read buffer per endpoint, reused across readable events *)
+    let buf = Bytes.create 65536 in
     let ep_recv ~timeout =
       let deadline = clock.Retry.now () +. timeout in
       let rec wait () =
@@ -674,7 +676,6 @@ module Remote_session = struct
                 | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
                 | [], _, _ -> wait ()
                 | _ :: _, _, _ -> (
-                    let buf = Bytes.create 65536 in
                     match Unix.read f buf 0 (Bytes.length buf) with
                     | 0 ->
                         disconnect ();

@@ -1,9 +1,6 @@
 (** Incremental recomputation suite: the reactive layer and the caches
     wired through the hot paths (see [docs/PERFORMANCE.md]).
 
-    - {!Esm_incr.Signal} / {!Esm_incr.Memo}: recompute only on upstream
-      change, with {e backdating} — a recomputation that round-trips to
-      a structurally identical value does not dirty downstream;
     - {!Esm_relational.Table.hash}: incrementally maintained across
       insert/delete, consistent with a from-scratch rebuild;
     - {!Esm_relational.Query.to_dlens}: the plan cache is transparent —
@@ -40,88 +37,6 @@ let next_case = ref 0
 let case_chaos ~rate () =
   incr next_case;
   Chaos.make ~rate ~seed:(chaos_seed + (1000 * !next_case)) ()
-
-(* ------------------------------------------------------------------ *)
-(* Signal / Memo units                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let int_list_signal v = Incr.Signal.create ~hash:Shash.of_value v
-
-(* A two-memo pipeline over an int-list signal: sort, then sum.  The
-   sort absorbs permutations — the backdating case. *)
-let pipeline () =
-  let s = int_list_signal [ 3; 1; 2 ] in
-  let runs1 = ref 0 and runs2 = ref 0 in
-  let m1 =
-    Incr.Memo.create ~name:"t.sorted" ~hash:Shash.of_value
-      ~deps:[ Incr.Signal.dep s ]
-      (fun () ->
-        incr runs1;
-        List.sort compare (Incr.Signal.get s))
-  in
-  let m2 =
-    Incr.Memo.create ~name:"t.sum" ~hash:Shash.of_value
-      ~deps:[ Incr.Memo.dep m1 ]
-      (fun () ->
-        incr runs2;
-        List.fold_left ( + ) 0 (Incr.Memo.force m1))
-  in
-  (s, m1, m2, runs1, runs2)
-
-let signal_memo_tests =
-  [
-    test "a signal backdates a structurally equal write" `Quick (fun () ->
-        let s = int_list_signal [ 1; 2; 3 ] in
-        let v0 = Incr.Signal.version s in
-        Incr.Signal.set s [ 1; 2; 3 ];
-        check Alcotest.int "backdated version" v0 (Incr.Signal.version s);
-        Incr.Signal.set s [ 1; 2; 4 ];
-        check Alcotest.int "changed version" (v0 + 1) (Incr.Signal.version s);
-        check
-          Alcotest.(list int)
-          "changed value" [ 1; 2; 4 ] (Incr.Signal.get s));
-    test "a memo recomputes only when a dependency changed" `Quick (fun () ->
-        let s, _m1, m2, runs1, runs2 = pipeline () in
-        check Alcotest.int "first force" 6 (Incr.Memo.force m2);
-        check Alcotest.int "first force again" 6 (Incr.Memo.force m2);
-        check Alcotest.int "one sort run" 1 !runs1;
-        check Alcotest.int "one sum run" 1 !runs2;
-        Incr.Signal.set s [ 10; 1 ];
-        check Alcotest.int "after change" 11 (Incr.Memo.force m2);
-        check Alcotest.int "sort re-ran" 2 !runs1;
-        check Alcotest.int "sum re-ran" 2 !runs2);
-    test "a backdated recomputation does not dirty downstream" `Quick
-      (fun () ->
-        Incr.Stats.reset ();
-        let s, _m1, m2, runs1, runs2 = pipeline () in
-        check Alcotest.int "first force" 6 (Incr.Memo.force m2);
-        (* a permutation: new hash upstream, identical sorted result *)
-        Incr.Signal.set s [ 2; 3; 1 ];
-        check Alcotest.int "same sum" 6 (Incr.Memo.force m2);
-        check Alcotest.int "sort re-ran" 2 !runs1;
-        check Alcotest.int "sum did not" 1 !runs2;
-        check Alcotest.int "backdate counted" 1
-          (Incr.Stats.backdates "t.sorted"));
-    test "a poisoned memo recomputes — never a stale value" `Quick (fun () ->
-        let s = int_list_signal [ 5 ] in
-        let runs = ref 0 in
-        let m =
-          Incr.Memo.create ~name:"t.double" ~hash:Shash.of_value
-            ~deps:[ Incr.Signal.dep s ]
-            (fun () ->
-              incr runs;
-              List.map (fun x -> 2 * x) (Incr.Signal.get s))
-        in
-        check Alcotest.(list int) "cold" [ 10 ] (Incr.Memo.force m);
-        Incr.Memo.poison m;
-        check Alcotest.(list int) "after poison" [ 10 ] (Incr.Memo.force m);
-        check Alcotest.int "poison cost a recomputation" 2 !runs;
-        Incr.Signal.set s [ 7 ];
-        Incr.Memo.poison m;
-        check
-          Alcotest.(list int)
-          "poison plus change" [ 14 ] (Incr.Memo.force m));
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* Table structural hash                                               *)
@@ -419,43 +334,6 @@ let store_oracle_props =
 
 let chaos_tests =
   [
-    test "an injected fault at incr.hash degrades a memo hit" `Quick
-      (fun () ->
-        let s = int_list_signal [ 21 ] in
-        let runs = ref 0 in
-        let m =
-          Incr.Memo.create ~name:"t.chaos" ~hash:Shash.of_value
-            ~deps:[ Incr.Signal.dep s ]
-            (fun () ->
-              incr runs;
-              List.map (fun x -> 2 * x) (Incr.Signal.get s))
-        in
-        check Alcotest.(list int) "cold" [ 42 ] (Incr.Memo.force m);
-        let c = Chaos.make ~rate:1.0 ~seed:chaos_seed () in
-        Chaos.with_chaos c (fun () ->
-            check
-              Alcotest.(list int)
-              "degraded hit is still correct" [ 42 ] (Incr.Memo.force m));
-        check Alcotest.int "the hit recomputed" 2 !runs;
-        check Alcotest.bool "fallback recorded" true (Chaos.fallbacks c >= 1));
-    test "memo reads under chaos always equal the oracle" `Quick (fun () ->
-        let s = int_list_signal [ 0 ] in
-        let m =
-          Incr.Memo.create ~name:"t.chaos2" ~hash:Shash.of_value
-            ~deps:[ Incr.Signal.dep s ]
-            (fun () -> List.map (fun x -> x + 1) (Incr.Signal.get s))
-        in
-        let c = case_chaos ~rate:0.4 () in
-        Chaos.with_chaos c (fun () ->
-            for i = 1 to 30 do
-              if i mod 5 = 0 then Incr.Memo.poison m;
-              Incr.Signal.set s [ i mod 7 ];
-              check
-                Alcotest.(list int)
-                (Printf.sprintf "read %d" i)
-                [ (i mod 7) + 1 ]
-                (Incr.Memo.force m)
-            done));
     test "get_memo under chaos matches the protected oracle" `Quick
       (fun () ->
         let dl =
@@ -509,6 +387,6 @@ let chaos_tests =
 (* ------------------------------------------------------------------ *)
 
 let suite =
-  signal_memo_tests @ table_hash_tests @ plan_cache_tests @ rlens_memo_tests
+  table_hash_tests @ plan_cache_tests @ rlens_memo_tests
   @ chaos_tests
   @ Helpers.q (table_hash_props @ store_oracle_props)

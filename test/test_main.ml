@@ -46,6 +46,7 @@ let () =
       ("shard (gossip + compaction)", Test_shard.suite);
       ("incr (reactive recomputation)", Test_incr.suite);
       ("served lens (put by delta)", Test_served.suite);
+      ("soak (one driver, history oracle)", Test_soak.suite);
       (* last: registers into the shared catalog (see its header note) *)
       ("esmql (law-checked query front-end)", Test_ql.suite);
     ]
