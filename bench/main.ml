@@ -743,11 +743,12 @@ let b13_dlens =
     ~key:[ "id" ] b13_query
 
 let b13_table = Workload.employees ~seed:9 ~size:4096
+let b13_get = Rlens.last_of (Esm_lens.Lens.get b13_dlens.Rlens.lens)
 
 let () =
-  (* warm the table-hash accumulator and the dlens view cache *)
+  (* warm the table-hash accumulator and the memoized view *)
   ignore (Table.hash b13_table);
-  ignore (Rlens.get_memo b13_dlens b13_table)
+  ignore (b13_get b13_table)
 
 (* the B view as a [get] serves it: rendered afresh from its rows, and
    through the server's rendered-view memo *)
@@ -771,7 +772,7 @@ let b13_tests =
       (Staged.stage (fun () ->
            Esm_lens.Lens.get b13_dlens.Rlens.lens b13_table));
     Test.make ~name:"rlens view, memoized hit (n=4096)"
-      (Staged.stage (fun () -> Rlens.get_memo b13_dlens b13_table));
+      (Staged.stage (fun () -> b13_get b13_table));
     Test.make ~name:"plan compile, uncached (3-stage query)"
       (Staged.stage (fun () ->
            Esm_relational.Query.to_dlens_uncached

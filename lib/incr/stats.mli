@@ -1,8 +1,7 @@
 (** Process-wide hit/miss counters for the memoization layer.
 
     Every cache in the incremental stack reports to a named counter
-    ("session.poll", "store.view", "rlens.view", "query.plan",
-    memo names, ...), so the soak driver and the bench harness can
+    ("session.poll", "store.view", "query.plan", ...), so the soak driver and the bench harness can
     assert the caches are actually exercised rather than silently
     bypassed.  Counters are plain mutable state — cheap, not
     thread-safe, and resettable for tests. *)

@@ -42,14 +42,22 @@ let apply_deltas t ds = Row_delta.apply_all t ds
 module Mem_b = struct
   type t = {
     cv : Check.cview;
+    get : Table.t -> Table.t;  (** the view, memoized for the last source *)
     mutable src : Table.t;
     mutable ver : int;
   }
 
-  let create (cv : Check.cview) = { cv; src = cv.Check.base.Check.binit; ver = 0 }
+  let create (cv : Check.cview) =
+    {
+      cv;
+      get = Rlens.last_of (Esm_lens.Lens.get cv.Check.dlens.Rlens.lens);
+      src = cv.Check.base.Check.binit;
+      ver = 0;
+    }
+
   let label _ = "mem"
   let version b = b.ver
-  let view b = wrap (fun () -> Rlens.get_memo b.cv.Check.dlens b.src)
+  let view b = wrap (fun () -> b.get b.src)
 
   let commit b ds =
     wrap (fun () ->
@@ -61,7 +69,7 @@ module Mem_b = struct
     match
       wrap (fun () ->
           let nv = Table.of_rows b.cv.Check.view_schema rows in
-          let cur = Rlens.get_memo b.cv.Check.dlens b.src in
+          let cur = b.get b.src in
           Row_delta.diff cur nv)
     with
     | Error e -> Error e

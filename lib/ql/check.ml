@@ -69,7 +69,7 @@ let validated_dlens (d : Rlens.dlens) : Rlens.dlens =
         (Esm_lens.Lens.name l);
     Row_delta.diff src src'
   in
-  { d with Rlens.translate; view_cache = None }
+  { d with Rlens.translate }
 
 let compile_view ~mode ~requested (bases : base list) vname q : cview =
   let base_names = List.sort_uniq String.compare (Query.bases q) in

@@ -420,8 +420,8 @@ let to_dlens_uncached ~(schema : Schema.t) ~(key : string list) (q : t) :
 
 (* Compiled plans are closures over (query, schema, key) — the printer
    is deterministic and [parse ∘ pp] round-trips, so the printed forms
-   are a faithful cache key.  Their only state is memoized views (the
-   dlens's [view_cache] and each [dcompose] stage's intermediate), which
+   are a faithful cache key.  Their only state is memoized views (each
+   [dcompose] stage's intermediate), which
    every user of a cached plan shares: a source other than the last one
    seen is a miss and recomputes, exactly as an uncached plan would.
    The cached dlens carries its full [Pedigree.Plan] provenance, so a

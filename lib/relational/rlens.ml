@@ -304,11 +304,6 @@ type dlens = {
       (** How this pipeline was constructed, combinator by combinator —
           the input to {!Esm_analysis.Law_infer}'s per-combinator
           lemmas. *)
-  mutable view_cache : (Table.t * Table.t) option;
-      (** The last (source, view) materialised by {!get_memo} — a
-          single-entry cache keyed by the source table (physical
-          witness first, then structural hash + equality), invisible
-          benign mutation like the key-index memo. *)
 }
 
 let put_delta (l : dlens) (source : Table.t) (deltas : Row_delta.t list) :
@@ -328,52 +323,12 @@ let put_delta (l : dlens) (source : Table.t) (deltas : Row_delta.t list) :
           let view = Lens.get l.lens source in
           Lens.put l.lens source (Row_delta.apply_all view deltas))
 
-(** Memoized view materialization: [get] through the pipeline's lens,
-    short-circuited when the source is the table the cached view was
-    computed from.  The O(1) fast path is the physical witness
-    [src == source]; otherwise the memoized structural hashes give O(1)
-    rejection and a hash match is verified with {!Table.equal} before
-    the hit is trusted — hash equality alone proves nothing.  An
-    injected fault at the incr.hash gate bypasses the cache and
-    rematerializes in full (never a stale view). *)
-let get_memo (l : dlens) (source : Table.t) : Table.t =
-  let recompute () =
-    let view = Lens.get l.lens source in
-    l.view_cache <- Some (source, view);
-    view
-  in
-  match l.view_cache with
-  | Some (src, view) when src == source ->
-      Esm_incr.Stats.hit "rlens.view";
-      view
-  | Some (src, view) -> (
-      match
-        Esm_core.Chaos.point Esm_core.Shash.site;
-        Table.hash src = Table.hash source && Table.equal src source
-      with
-      | true ->
-          Esm_incr.Stats.hit "rlens.view";
-          (* refresh the witness so the next read is the O(1) path *)
-          l.view_cache <- Some (source, view);
-          view
-      | false ->
-          Esm_incr.Stats.miss "rlens.view";
-          recompute ()
-      | exception exn when Esm_core.Error.degradable_exn exn ->
-          Esm_core.Chaos.note_fallback Esm_core.Shash.site;
-          Esm_incr.Stats.miss "rlens.view";
-          Esm_core.Chaos.protected recompute)
-  | None ->
-      Esm_incr.Stats.miss "rlens.view";
-      recompute ()
-
 (** The identity dlens (a pipeline's base table). *)
 let did : dlens =
   {
     lens = Lens.with_name "base" Lens.id;
     translate = (fun _ ds -> ds);
     pedigree = Esm_core.Pedigree.Identity;
-    view_cache = None;
   }
 
 (** Delta select: additions must satisfy the predicate (as in the full
@@ -401,7 +356,6 @@ let dselect ?key (p : Pred.t) : dlens =
     lens = select p;
     translate;
     pedigree = select_pedigree ?key p;
-    view_cache = None;
   }
 
 (** Delta project: each view delta restores to a source delta through the
@@ -435,7 +389,6 @@ let dproject ~(keep : string list) ~(key : string list)
     lens = project ~keep ~key source_schema;
     translate;
     pedigree = project_pedigree ~keep ~key source_schema;
-    view_cache = None;
   }
 
 (** Delta rename: rows are untouched by renaming, so deltas pass through
@@ -445,7 +398,6 @@ let drename (mapping : (string * string) list) : dlens =
     lens = rename mapping;
     translate = (fun _ ds -> ds);
     pedigree = rename_pedigree mapping;
-    view_cache = None;
   }
 
 (* [f] memoized for its last argument on the physical witness: tables
@@ -490,7 +442,6 @@ let dcompose (outer : dlens) (inner : dlens) : dlens =
       (match (outer.pedigree, inner.pedigree) with
       | Esm_core.Pedigree.Identity, p | p, Esm_core.Pedigree.Identity -> p
       | po, pi -> Esm_core.Pedigree.Dcompose (po, pi));
-    view_cache = None;
   }
 
 (** The pipeline as a plain lens that puts by delta: [get] is the

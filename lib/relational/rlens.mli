@@ -82,19 +82,12 @@ type dlens = {
   translate : Table.t -> Row_delta.t list -> Row_delta.t list;
   pedigree : Esm_core.Pedigree.t;
       (** Combinator-by-combinator provenance of the pipeline. *)
-  mutable view_cache : (Table.t * Table.t) option;
-      (** {!get_memo}'s single-entry (source, view) cache — benign
-          mutation, owned by the dlens. *)
 }
 
-val get_memo : dlens -> Table.t -> Table.t
-(** Memoized [Lens.get]: returns the cached view when the source is
-    unchanged — O(1) on a physical witness match, structural hash
-    rejection plus {!Table.equal} verification otherwise (a hash match
-    is never trusted unverified).  An injected fault at the
-    ["incr.hash"] chaos site bypasses the cache and rematerializes in
-    full, so a corrupted cache costs work, never staleness.  Reports to
-    the ["rlens.view"] {!Esm_incr.Stats} counter. *)
+val last_of : (Table.t -> Table.t) -> Table.t -> Table.t
+(** [last_of f] is [f] memoized for its last argument by physical
+    identity: tables are immutable, so a hit is exact and costs one
+    comparison, and a miss costs what [f] costs — no hashing. *)
 
 val put_delta : dlens -> Table.t -> Row_delta.t list -> Table.t
 (** Apply view deltas through the translated source deltas.  On a
@@ -134,8 +127,7 @@ val dcompose : dlens -> dlens -> dlens
 val lens_of_dlens : dlens -> (Table.t, Table.t) Esm_lens.Lens.t
 (** The pipeline as a lens that puts by delta, under [dl.lens]'s name.
     [get] is [dl.lens]'s get, memoized for the last source by physical
-    identity (one memo per call of [lens_of_dlens]; no hashing, no
-    ["rlens.view"] reports).  [put s v] runs {!put_delta} on
+    identity ({!last_of}; one memo per call of [lens_of_dlens]).  [put s v] runs {!put_delta} on
     [Row_delta.diff (get s) v], which is relationally equal to the full
     put.  The full [dl.lens] put runs instead when [v]'s schema differs
     from the view's (so its {!Esm_lens.Lens.Shape_error} is kept) and

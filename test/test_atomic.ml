@@ -414,7 +414,6 @@ let index_corruption_tests =
                 ();
             translate = (fun _ ds -> ds);
             pedigree = Pedigree.Identity;
-            view_cache = None;
           }
         in
         let project () =

@@ -6,7 +6,7 @@
     - {!Esm_relational.Query.to_dlens}: the plan cache is transparent —
       a memo hit carries exactly the pedigree (and inferred law level)
       of a cold compile, for every catalog entry with a plan;
-    - {!Esm_relational.Rlens.get_memo} and the {!Esm_sync.Store} /
+    - {!Esm_relational.Rlens.last_of} and the {!Esm_sync.Store} /
       {!Esm_sync.Session} caches: memoized reads/polls equal the
       unmemoized reference on randomized edit scripts, including the
       net-zero (backdating) case and across crash/recover;
@@ -169,7 +169,7 @@ let plan_cache_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Rlens.get_memo                                                      *)
+(* Rlens.last_of                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let eng_dlens () =
@@ -179,42 +179,23 @@ let eng_dlens () =
 
 let rlens_memo_tests =
   [
-    test "get_memo hits on an unchanged source and matches the oracle"
+    test "last_of hits on an unchanged source and matches the oracle"
       `Quick (fun () ->
-        Incr.Stats.reset ();
         let dl = eng_dlens () in
+        let get = Rel.Rlens.last_of (Esm_lens.Lens.get dl.Rel.Rlens.lens) in
         let src = Rel.Workload.employees ~seed:3 ~size:20 in
-        let v1 = Rel.Rlens.get_memo dl src in
-        let v2 = Rel.Rlens.get_memo dl src in
+        let v1 = get src in
+        let v2 = get src in
         check Alcotest.bool "physically shared" true (v1 == v2);
         check Alcotest.bool "oracle" true
-          (Rel.Table.equal v1 (Esm_lens.Lens.get dl.Rel.Rlens.lens src));
-        check
-          Alcotest.(pair int int)
-          "one miss then one hit" (1, 1)
-          (Incr.Stats.counts "rlens.view"));
-    test "get_memo verifies a hash match on a physically new source" `Quick
-      (fun () ->
-        Incr.Stats.reset ();
-        let dl = eng_dlens () in
-        let src = Rel.Workload.employees ~seed:3 ~size:20 in
-        let v1 = Rel.Rlens.get_memo dl src in
-        let src' =
-          Rel.Table.of_rows (Rel.Table.schema src)
-            (List.rev (Rel.Table.rows src))
-        in
-        let v2 = Rel.Rlens.get_memo dl src' in
-        check Alcotest.bool "hit via hash + verify" true (v1 == v2);
-        check
-          Alcotest.(pair int int)
-          "miss, hit" (1, 1)
-          (Incr.Stats.counts "rlens.view"));
+          (Rel.Table.equal v1 (Esm_lens.Lens.get dl.Rel.Rlens.lens src)));
     test "an edited source misses and rematerializes" `Quick (fun () ->
         let dl = eng_dlens () in
+        let get = Rel.Rlens.last_of (Esm_lens.Lens.get dl.Rel.Rlens.lens) in
         let src = Rel.Workload.employees ~seed:3 ~size:20 in
-        ignore (Rel.Rlens.get_memo dl src);
+        ignore (get src);
         let src' = Rel.Table.insert src (base_row 777 "nova" "Engineering") in
-        let v = Rel.Rlens.get_memo dl src' in
+        let v = get src' in
         check Alcotest.bool "fresh view" true
           (Rel.Table.equal v (Esm_lens.Lens.get dl.Rel.Rlens.lens src')));
   ]
@@ -334,27 +315,6 @@ let store_oracle_props =
 
 let chaos_tests =
   [
-    test "get_memo under chaos matches the protected oracle" `Quick
-      (fun () ->
-        let dl =
-          Rel.Query.to_dlens_uncached ~schema:Rel.Workload.employees_schema
-            ~key:[ "id" ]
-            (Rel.Query.parse {|employees | where dept = "Engineering"|})
-        in
-        let c = case_chaos ~rate:0.3 () in
-        Chaos.with_chaos c (fun () ->
-            for i = 1 to 12 do
-              let src = Rel.Workload.employees ~seed:(i / 3) ~size:16 in
-              let v = Rel.Rlens.get_memo dl src in
-              let oracle =
-                Chaos.protected (fun () ->
-                    Esm_lens.Lens.get dl.Rel.Rlens.lens src)
-              in
-              check Alcotest.bool
-                (Printf.sprintf "read %d" i)
-                true
-                (Rel.Table.equal v oracle)
-            done));
     test "store reads under chaos equal the protected oracle" `Quick
       (fun () ->
         let store = make_store ~seed:17 () in
