@@ -35,12 +35,6 @@
 val default_store : ?dir:string -> seed:int -> size:int -> unit -> Wire.rstore
 (** The employees store, persisted to [dir] when given. *)
 
-val shard_group :
-  ?dir:string -> seed:int -> size:int -> shards:int -> unit -> Shard.Relational.rt
-(** [shards] stores over the partitions [id mod shards] of the seed
-    table, persisted to [dir/shard-i]; [shards = 0] is a group of one
-    {!default_store}. *)
-
 (** {1 The soak} *)
 
 type config = {

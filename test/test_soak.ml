@@ -106,12 +106,9 @@ let tmp_count = ref 0
 
 let tmp_dir () =
   incr tmp_count;
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "esm-soak-%d-%d" (Unix.getpid ()) !tmp_count)
-  in
-  d
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "esm-soak-%d-%d" (Unix.getpid ()) !tmp_count)
 
 let rec rm_rf path =
   if Sys.file_exists path then
