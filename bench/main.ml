@@ -745,10 +745,7 @@ let b13_dlens =
 let b13_table = Workload.employees ~seed:9 ~size:4096
 let b13_get = Rlens.last_of (Esm_lens.Lens.get b13_dlens.Rlens.lens)
 
-let () =
-  (* warm the table-hash accumulator and the memoized view *)
-  ignore (Table.hash b13_table);
-  ignore (b13_get b13_table)
+let () = ignore (b13_get b13_table) (* warm the memoized view *)
 
 (* the B view as a [get] serves it: rendered afresh from its rows, and
    through the server's rendered-view memo *)
@@ -781,13 +778,6 @@ let b13_tests =
       (Staged.stage (fun () ->
            Esm_relational.Query.to_dlens ~schema:Workload.employees_schema
              ~key:[ "id" ] b13_query));
-    Test.make ~name:"table hash, rebuilt (n=4096)"
-      (Staged.stage (fun () ->
-           Table.hash
-             (Table.of_sorted_array_unchecked (Table.schema b13_table)
-                (Table.row_array b13_table))));
-    Test.make ~name:"table hash, cached (n=4096)"
-      (Staged.stage (fun () -> Table.hash b13_table));
     Test.make ~name:"wire render_response, B view (n=4096)"
       (Staged.stage (fun () ->
            Sync.Wire.render_response
@@ -1256,9 +1246,9 @@ let () =
     ~expectation:
       "memoized store view reads, rlens view hits and unchanged-store polls \
        are near-zero-cost (>=50x under the uncached read at n=4096); a plan \
-       cache hit dodges the parse-free recompile; the table hash is O(1) \
-       once the accumulator is warm; a wire get at an unchanged version \
-       serves the memoized rendered rows, far under a fresh render"
+       cache hit dodges the parse-free recompile; a wire get at an \
+       unchanged version serves the memoized rendered rows, far under a \
+       fresh render"
     b13_tests;
   run_group ~id:"B14"
     ~header:"real transport: remote sessions vs drop rate (chaos net)"

@@ -12,14 +12,7 @@
     reading of (GS)/(SG) for partial bx.
 
     Exceptions that are {e not} bx errors ([Invalid_argument],
-    [Stack_overflow], …) are programming errors and propagate untouched.
-
-    Mutation caveat: rollback restores the {e state value}; memoized
-    caches hanging off that value (e.g. [Table.key_index]) survive by
-    construction because indexes are only attached to tables that were
-    fully built.  After a failed transaction over relational state,
-    [Table.revalidate_indexes] additionally distrusts-and-checks the
-    memo — {!Rlens} wires that in. *)
+    [Stack_overflow], …) are programming errors and propagate untouched. *)
 
 type ('s, 'a) state = 's -> 'a * 's
 (** The shape every [Esm_monad.State.Make(S).t] has, exposed

@@ -40,7 +40,7 @@ let current : t option ref = ref None
 let suppressed : int ref = ref 0
 
 (* Fallbacks observed across the whole process, chaos installed or not:
-   index self-check failures degrade gracefully even outside a chaos
+   a failed snapshot write degrades gracefully even outside a chaos
    run, and tests assert on this counter. *)
 let global_fallbacks : int ref = ref 0
 

@@ -51,7 +51,7 @@ val fallbacks : t -> int
 
 val fallbacks_total : unit -> int
 (** Process-wide fallback count (degradations also happen without chaos
-    installed, e.g. on index self-check failures). *)
+    installed, e.g. on a failed snapshot write). *)
 
 val reset : t -> unit
 (** Clear counters and the per-site visit state (replays the schedule

@@ -15,7 +15,7 @@
     Two kinds are special to the robustness layer:
 
     - [Fault] — an injected failure from the {!Chaos} harness;
-    - [Index] — a memoized-index self-check failure.
+    - [Index] — a broken acceleration index.
 
     Both are {e degradable} ({!is_degradable}): the delta fast paths
     ([Rlens.put_delta], [Mbx.fwd_delta]) treat them as "distrust the
@@ -30,7 +30,7 @@ type kind =
   | Metamodel  (** metamodel validation and fresh-object synthesis *)
   | Parse  (** query-language lexing and parsing *)
   | Fault  (** an injected failure ({!Chaos}) *)
-  | Index  (** a memoized-index self-check failure *)
+  | Index  (** a broken acceleration index (degradable) *)
   | Conflict
       (** an optimistic version check failed: a concurrent session
           committed first ([Esm_sync]) *)
@@ -161,7 +161,7 @@ let is_bx_exn (exn : exn) : bool = Option.is_some (of_exn exn)
 let is_fault (e : t) : bool = e.kind = Fault
 
 (** Degradable errors signal broken {e acceleration} machinery (an
-    injected fault, a corrupt memoized index) rather than an invalid
+    injected fault, a broken index) rather than an invalid
     update; fast paths respond by falling back to the full oracle. *)
 let is_degradable (e : t) : bool =
   match e.kind with Fault | Index -> true | _ -> false

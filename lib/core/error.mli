@@ -16,7 +16,7 @@ type kind =
   | Metamodel  (** metamodel validation and fresh-object synthesis *)
   | Parse  (** query-language lexing and parsing *)
   | Fault  (** an injected failure ({!Chaos}) *)
-  | Index  (** a memoized-index self-check failure *)
+  | Index  (** a broken acceleration index (degradable) *)
   | Conflict
       (** an optimistic version check failed: a concurrent session
           committed against the same base first ([Esm_sync]); losers

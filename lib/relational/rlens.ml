@@ -125,9 +125,10 @@ let projection_plan ~(keep : string list) ~(key : string list)
 (* Rebuild a source row from a view row, recovering dropped columns from
    the source's memoized key index. *)
 let restore_row (plan : projection_plan)
-    (old_by_key : (Value.t list, Row.t) Hashtbl.t) (view_row : Row.t) : Row.t =
-  let k = Table.key_of_row plan.view_key_indices view_row in
-  let recovered = Hashtbl.find_opt old_by_key k in
+    (old_by_key : Value.t list -> Row.t option) (view_row : Row.t) : Row.t =
+  let recovered =
+    old_by_key (Table.key_of_row plan.view_key_indices view_row)
+  in
   Array.map
     (function
       | `Kept j -> view_row.(j)
@@ -311,14 +312,12 @@ let put_delta (l : dlens) (source : Table.t) (deltas : Row_delta.t list) :
   match Row_delta.apply_all source (l.translate source deltas) with
   | result -> result
   | exception e when Esm_core.Error.degradable_exn e ->
-      (* Graceful degradation: an injected fault or a failed index
-         self-check means the incremental machinery cannot be trusted —
-         distrust the memo, then compute the answer with the full put
+      (* Graceful degradation: an injected fault means the incremental
+         path did not finish — compute the answer with the full put
          oracle (under [protected] so the recovery path cannot itself be
          faulted).  Genuine shape errors are NOT caught: they mean the
          deltas are invalid and must surface to the caller. *)
       Esm_core.Chaos.note_fallback "rlens.put_delta";
-      ignore (Table.revalidate_indexes source);
       Esm_core.Chaos.protected (fun () ->
           let view = Lens.get l.lens source in
           Lens.put l.lens source (Row_delta.apply_all view deltas))
@@ -367,10 +366,7 @@ let dproject ~(keep : string list) ~(key : string list)
   let plan = projection_plan ~keep ~key source_schema in
   let translate source deltas =
     Esm_core.Chaos.point "rlens.dproject.translate";
-    (* The checked variant: a corrupt memo raises [Index], which
-       [put_delta] turns into a full-put fallback instead of silently
-       restoring from stale bindings. *)
-    let old_by_key = Table.key_index_checked source plan.source_key_indices in
+    let old_by_key = Table.key_index source plan.source_key_indices in
     let restore = restore_row plan old_by_key in
     List.map
       (function
@@ -421,8 +417,8 @@ let dcompose (outer : dlens) (inner : dlens) : dlens =
   (* [get] and [translate] read the intermediate view through a memo, so
      a translate right after a get on the same source reuses the view and
      the key index built over it.  The full [put] recomputes it, as
-     {!Esm_lens.Lens.compose} does: it is {!put_delta}'s fallback oracle,
-     which must not read a memoized table whose index has gone bad. *)
+     {!Esm_lens.Lens.compose} does, so {!put_delta}'s fallback oracle is
+     the plain composition's put and shares no state with the memo. *)
   let mid = last_of (Lens.get outer.lens) in
   {
     lens =
@@ -512,9 +508,7 @@ let djoin ?(right_fds : Fd.t list = []) ~(left : Schema.t)
   let jtranslate ((l, r) : Table.t * Table.t) (deltas : Row_delta.t list) :
       Row_delta.t list * Row_delta.t list =
     Esm_core.Chaos.point "rlens.djoin.translate";
-    (* The checked memo: a corrupt index raises [Index] and
-       [put_delta_join] degrades to the full put. *)
-    let right_by_key = Table.key_index_checked r plan.right_key_indices in
+    let right_by_key = Table.key_index r plan.right_key_indices in
     (* Left rows grouped by shared key — the view rows for a key are
        exactly these joined against the key's (unique) right partner. *)
     let left_by_key : (Value.t list, Row.t list) Hashtbl.t =
@@ -537,7 +531,7 @@ let djoin ?(right_fds : Fd.t list = []) ~(left : Schema.t)
       | Some rows -> rows
       | None ->
           let rows =
-            match Hashtbl.find_opt right_by_key k with
+            match right_by_key k with
             | None -> []
             | Some rho ->
                 List.map
@@ -601,7 +595,7 @@ let djoin ?(right_fds : Fd.t list = []) ~(left : Schema.t)
       (fun k ->
         if not (Hashtbl.mem seen k) then (
           Hashtbl.replace seen k ();
-          let orig = Hashtbl.find_opt right_by_key k in
+          let orig = right_by_key k in
           let final_rows = view_rows k in
           let final_rhos =
             List.sort_uniq Row.compare
@@ -640,11 +634,9 @@ let put_delta_join (j : djoin) ((l, r) : Table.t * Table.t)
   with
   | result -> result
   | exception e when Esm_core.Error.degradable_exn e ->
-      (* Same degradation policy as {!put_delta}: distrust the memoized
-         indexes, then recompute with the full join put oracle. *)
+      (* Same degradation policy as {!put_delta}: recompute with the
+         full join put oracle. *)
       Esm_core.Chaos.note_fallback "rlens.put_delta_join";
-      ignore (Table.revalidate_indexes l);
-      ignore (Table.revalidate_indexes r);
       Esm_core.Chaos.protected (fun () ->
           let view = Lens.get j.jlens (l, r) in
           Lens.put j.jlens (l, r) (Row_delta.apply_all view deltas))

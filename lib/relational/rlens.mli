@@ -91,10 +91,9 @@ val last_of : (Table.t -> Table.t) -> Table.t -> Table.t
 
 val put_delta : dlens -> Table.t -> Row_delta.t list -> Table.t
 (** Apply view deltas through the translated source deltas.  On a
-    {e degradable} failure ({!Esm_core.Error.is_degradable}: an injected
-    fault or an index self-check failure) the source's memoized indexes
-    are revalidated and the answer is recomputed with the full
-    [get]/[put] oracle — graceful degradation rather than error.
+    {e degradable} failure ({!Esm_core.Error.is_degradable}, e.g. an
+    injected fault) the answer is recomputed with the full [get]/[put]
+    oracle — graceful degradation rather than error.
     Genuine shape errors still raise. *)
 
 val did : dlens
@@ -120,8 +119,8 @@ val dcompose : dlens -> dlens -> dlens
     [translate] read the intermediate view through a single-entry memo
     keyed by the source's physical identity, so a translate after a get
     on the same source does not recompute it.  Its full [put] recomputes
-    the intermediate view, so {!put_delta}'s fallback never reads a
-    memoized table.  Pedigrees compose with
+    the intermediate view, as {!Esm_lens.Lens.compose} does, so
+    {!put_delta}'s fallback oracle shares no state with the memo.  Pedigrees compose with
     {!Esm_core.Pedigree.Dcompose} (identity bases are flattened away). *)
 
 val lens_of_dlens : dlens -> (Table.t, Table.t) Esm_lens.Lens.t
@@ -172,5 +171,5 @@ val put_delta_join :
   djoin -> Table.t * Table.t -> Row_delta.t list -> Table.t * Table.t
 (** Apply view deltas through the translated source delta pairs, with
     the same graceful degradation as {!put_delta}: on a degradable
-    failure both tables' memoized indexes are revalidated and the answer
-    is recomputed with the full join [get]/[put] oracle. *)
+    failure the answer is recomputed with the full join [get]/[put]
+    oracle. *)

@@ -14,7 +14,8 @@
       first use.
 
     Tables are immutable values; the index cache is invisible mutation
-    (build-once memoization), safe to share across readers. *)
+    (build-once memoization that only the table can reach), safe to
+    share across readers. *)
 
 exception Table_error of string
 
@@ -32,16 +33,12 @@ type t = {
   schema : Schema.t;
   rows : Row.t array; (* sorted by Row.compare, distinct *)
   mutable key_indexes : (int list * (Value.t list, Row.t) Hashtbl.t) list;
-      (* memoized key-tuple indexes, keyed by the column positions *)
-  mutable hash_acc : int option;
-      (* memoized xor of per-row structural hashes — [None] until first
-         use, maintained incrementally across insert/delete (xor is
-         history-independent, so order does not matter), rebuilt from
-         the rows through the incr.hash chaos gate like the key-index
-         memo is rebuilt by the validate-and-rebuild policy *)
+      (* memoized key-tuple indexes, keyed by the column positions;
+         never handed out, so nothing outside this module can change
+         them *)
 }
 
-let make_sorted schema rows = { schema; rows; key_indexes = []; hash_acc = None }
+let make_sorted schema rows = { schema; rows; key_indexes = [] }
 
 let normalise rows = Array.of_list (List.sort_uniq Row.compare rows)
 
@@ -92,21 +89,6 @@ let search (rows : Row.t array) (r : Row.t) : (int, int) result =
 
 let mem t r = match search t.rows r with Ok _ -> true | Error _ -> false
 
-(* The per-row structural hash feeding the table hash: must be the one
-   function everywhere — the incremental xor maintenance and the
-   ground-truth rebuild have to agree bit for bit. *)
-let row_hash (r : Row.t) : int = Esm_core.Shash.of_value r
-
-(* Carry a parent's memoized hash accumulator across a one-row edit:
-   xor'ing the touched row's hash in (insert) or out (delete) is exact
-   because the accumulator is order-independent.  A parent without a
-   memoized hash passes nothing on (lazy, like the key indexes). *)
-let inherit_hash (parent : t) (child : t) (r : Row.t) : t =
-  (match parent.hash_acc with
-  | Some acc -> child.hash_acc <- Some (acc lxor row_hash r)
-  | None -> ());
-  child
-
 let insert t r =
   check_conforms "insert" t.schema r;
   match search t.rows r with
@@ -116,7 +98,7 @@ let insert t r =
       let rows = Array.make (n + 1) r in
       Array.blit t.rows 0 rows 0 i;
       Array.blit t.rows i rows (i + 1) (n - i);
-      inherit_hash t (make_sorted t.schema rows) r
+      make_sorted t.schema rows
 
 let delete t r =
   match search t.rows r with
@@ -126,7 +108,7 @@ let delete t r =
       let rows = Array.make (n - 1) t.rows.(0) in
       Array.blit t.rows 0 rows 0 i;
       Array.blit t.rows (i + 1) rows i (n - i - 1);
-      inherit_hash t (make_sorted t.schema rows) r
+      make_sorted t.schema rows
 
 (* One planned change to the row array: insert a row before position
    [pos], or drop the row at [pos]. *)
@@ -146,14 +128,14 @@ let edit t ops =
     | [] -> acc
   in
   (* folding the descending rows conses [changes] ascending *)
-  let changes, hash_delta =
+  let changes =
     List.fold_left
-      (fun ((cs, h) as acc) (add, r) ->
+      (fun cs (add, r) ->
         match (search t.rows r, add) with
-        | Error i, true -> (Ins (i, r) :: cs, h lxor row_hash r)
-        | Ok i, false -> (Del i :: cs, h lxor row_hash r)
-        | Ok _, true | Error _, false -> acc)
-      ([], 0)
+        | Error i, true -> Ins (i, r) :: cs
+        | Ok i, false -> Del i :: cs
+        | Ok _, true | Error _, false -> cs)
+      []
       (last_ops []
          (List.stable_sort (fun (_, a) (_, b) -> Row.compare a b) ops))
   in
@@ -187,13 +169,7 @@ let edit t ops =
             incr src)
       changes;
     copy_to n;
-    let child = make_sorted t.schema rows in
-    (* xor'ing every changed row in or out is exact, as in
-       [inherit_hash] *)
-    (match t.hash_acc with
-    | Some acc -> child.hash_acc <- Some (acc lxor hash_delta)
-    | None -> ());
-    child
+    make_sorted t.schema rows
 
 let filter (keep : Row.t -> bool) t =
   (* filtering preserves sortedness and distinctness *)
@@ -284,141 +260,39 @@ let key_of_row (key : int list) (r : Row.t) : Value.t list =
   List.map (fun i -> r.(i)) key
 
 (** The memoized index from key tuple (values at positions [key]) to
-    row.  Built on first use, O(n); later calls on the same table and
-    key are O(1).  If the key does not functionally determine the row,
-    later rows win (callers enforce their own FD preconditions). *)
-let key_index (t : t) (key : int list) : (Value.t list, Row.t) Hashtbl.t =
-  match List.assoc_opt key t.key_indexes with
-  | Some idx -> idx
-  | None ->
-      Esm_core.Chaos.point "table.key_index";
-      let idx = Hashtbl.create (max 16 (Array.length t.rows)) in
-      Array.iter (fun r -> Hashtbl.replace idx (key_of_row key r) r) t.rows;
-      t.key_indexes <- (key, idx) :: t.key_indexes;
-      idx
-
-(** Forget every memoized index (they rebuild on next use).  The table
-    value itself is untouched. *)
-let drop_indexes (t : t) : unit = t.key_indexes <- []
-
-(** Full consistency check of every memoized index against the rows:
-    every row's key tuple must be present, and every binding must map a
-    key [k] to a member row whose key is [k].  (When the key does not
-    functionally determine rows, several rows share a key and the index
-    legitimately holds just one of them — membership, not identity, is
-    the invariant.)  O(n) per index. *)
-let validate_indexes (t : t) : bool =
-  let row_mem r =
-    let rec bsearch lo hi =
-      if lo >= hi then false
-      else
-        let mid = (lo + hi) / 2 in
-        let c = Row.compare r t.rows.(mid) in
-        if c = 0 then true
-        else if c < 0 then bsearch lo mid
-        else bsearch (mid + 1) hi
-    in
-    bsearch 0 (Array.length t.rows)
+    row, as a lookup.  Built on first use, O(n); later calls on the same
+    table and key are O(1).  The index is attached only once it is
+    complete, so a fault at the ["table.key_index"] site leaves nothing
+    memoized.  If the key does not functionally determine the row, later
+    rows win (callers enforce their own FD preconditions). *)
+let key_index (t : t) (key : int list) : Value.t list -> Row.t option =
+  let idx =
+    match List.assoc_opt key t.key_indexes with
+    | Some idx -> idx
+    | None ->
+        Esm_core.Chaos.point "table.key_index";
+        let idx = Hashtbl.create (max 16 (Array.length t.rows)) in
+        Array.iter (fun r -> Hashtbl.replace idx (key_of_row key r) r) t.rows;
+        t.key_indexes <- (key, idx) :: t.key_indexes;
+        idx
   in
-  let index_ok (key, idx) =
-    Array.for_all (fun r -> Hashtbl.mem idx (key_of_row key r)) t.rows
-    && Hashtbl.fold
-         (fun k r ok -> ok && row_mem r && key_of_row key r = k)
-         idx true
-  in
-  List.for_all index_ok t.key_indexes
-
-(** Distrust-and-check the memo after a failed transaction: if any
-    memoized index fails {!validate_indexes}, drop them all (to be
-    rebuilt lazily from the rows).  Returns [true] iff the memo was
-    healthy. *)
-let revalidate_indexes (t : t) : bool =
-  if validate_indexes t then true
-  else begin
-    drop_indexes t;
-    false
-  end
-
-(** {!key_index} plus an O(1) self-check on the memo — the cheap sanity
-    gate the delta fast paths use before trusting a cached index.  A
-    corrupt memo raises an {!Esm_core.Error.Index} error, which the fast
-    paths treat as "fall back to the full oracle". *)
-let key_index_checked (t : t) (key : int list) :
-    (Value.t list, Row.t) Hashtbl.t =
-  let idx = key_index t key in
-  let n = Array.length t.rows in
-  let plausible =
-    Hashtbl.length idx <= n
-    && (n = 0 || Hashtbl.length idx > 0)
-    && (n = 0
-       ||
-       let r0 = t.rows.(0) in
-       match Hashtbl.find_opt idx (key_of_row key r0) with
-       | Some r -> key_of_row key r = key_of_row key r0
-       | None -> false)
-  in
-  if plausible then idx
-  else
-    Esm_core.Error.raise_error Esm_core.Error.Index ~op:"table.key_index"
-      "memoized index failed its self-check (%d bindings over %d rows)"
-      (Hashtbl.length idx) n
-
-let find_by_key (t : t) ~(key : int list) (k : Value.t list) : Row.t option =
-  Hashtbl.find_opt (key_index t key) k
-
-let mem_key (t : t) ~(key : int list) (k : Value.t list) : bool =
-  Hashtbl.mem (key_index t key) k
+  Hashtbl.find_opt idx
 
 (* ------------------------------------------------------------------ *)
-(* Structural hash, equality and printing                              *)
+(* Equality and printing                                               *)
 (* ------------------------------------------------------------------ *)
-
-(* The memoized accumulator, read through the incr.hash chaos gate: an
-   injected fault distrusts the cache and rebuilds from the rows (under
-   [protected]), re-caching the ground truth — the same
-   invalidate-and-rebuild policy as {!revalidate_indexes}. *)
-let hash_acc (t : t) : int =
-  Esm_core.Shash.trusted ~cached:t.hash_acc ~recompute:(fun () ->
-      let acc = Array.fold_left (fun h r -> h lxor row_hash r) 0 t.rows in
-      t.hash_acc <- Some acc;
-      acc)
-
-(** The structural hash: O(1) once memoized (and maintained across
-    {!insert}/{!delete}), O(n) to build.  Equal tables hash equal;
-    unequal hashes certify unequal tables — the rejection direction the
-    caches rely on.  Hash equality proves nothing and must be verified
-    with {!equal}. *)
-let hash (t : t) : int =
-  Esm_core.Shash.combine
-    (Esm_core.Shash.of_value (Schema.columns t.schema))
-    (Esm_core.Shash.combine (Array.length t.rows) (hash_acc t))
-
-(* O(1) certain-inequality: when both sides already memoized their
-   accumulator and the accumulators differ, the row sets differ.  The
-   rejection trusts cached hashes, so it too passes through the
-   incr.hash gate — a fault there just declines to reject (degrading to
-   the row-wise comparison), never answers wrongly. *)
-let hashes_reject (t1 : t) (t2 : t) : bool =
-  match (t1.hash_acc, t2.hash_acc) with
-  | Some h1, Some h2 when h1 <> h2 -> (
-      match Esm_core.Chaos.point Esm_core.Shash.site with
-      | () -> true
-      | exception exn when Esm_core.Error.degradable_exn exn ->
-          Esm_core.Chaos.note_fallback Esm_core.Shash.site;
-          false)
-  | _ -> false
 
 let equal t1 t2 =
   t1 == t2
   || Schema.equal t1.schema t2.schema
      && (t1.rows == t2.rows
         || Array.length t1.rows = Array.length t2.rows
-           && (not (hashes_reject t1 t2))
-           && (let n = Array.length t1.rows in
-               let rec go i =
-                 i >= n || (Row.equal t1.rows.(i) t2.rows.(i) && go (i + 1))
-               in
-               go 0))
+           &&
+           let n = Array.length t1.rows in
+           let rec go i =
+             i >= n || (Row.equal t1.rows.(i) t2.rows.(i) && go (i + 1))
+           in
+           go 0)
 
 let pp fmt t =
   let widths =

@@ -59,8 +59,8 @@ val edit : t -> (bool * Row.t) list -> t
     at a time, in order: each row ends as its last operation leaves it,
     and every inserted row must conform, checked in list order.  The
     new row array is built once, copying the unchanged stretches in
-    blocks.  A memoized structural hash is carried over; a burst that
-    changes nothing returns the table physically unchanged. *)
+    blocks.  A burst that changes nothing returns the table physically
+    unchanged. *)
 
 val filter : (Row.t -> bool) -> t -> t
 
@@ -82,59 +82,16 @@ val diff : t -> t -> t
 val key_of_row : int list -> Row.t -> Value.t list
 (** The key tuple of a row at the given column positions. *)
 
-val key_index : t -> int list -> (Value.t list, Row.t) Hashtbl.t
-(** The memoized index from key tuple (values at the given column
-    positions) to row: built on first use in O(n), O(1) afterwards for
-    the same table and key.  Callers must treat the table as the owner
-    of the hashtable (read-only).  If the key does not functionally
-    determine rows, later rows win. *)
-
-val key_index_checked : t -> int list -> (Value.t list, Row.t) Hashtbl.t
-(** {!key_index} plus an O(1) self-check of the memo — the gate the
-    delta fast paths use before trusting a cached index.
-    @raise Esm_core.Error.Bx_error
-      (kind [Index]) when the memo fails its check; fast paths treat
-      this as "fall back to the full oracle". *)
-
-val drop_indexes : t -> unit
-(** Forget every memoized index (they rebuild lazily on next use). *)
-
-val validate_indexes : t -> bool
-(** Full O(n)-per-index consistency check of the memo against the
-    rows. *)
-
-val revalidate_indexes : t -> bool
-(** Validate-and-rebuild policy after a failed transaction: [true] iff
-    the memo was healthy; otherwise the indexes are dropped (rebuilt
-    lazily) and [false] is returned. *)
-
-val find_by_key : t -> key:int list -> Value.t list -> Row.t option
-(** Indexed key lookup (amortised O(1)). *)
-
-val mem_key : t -> key:int list -> Value.t list -> bool
-
-(** {1 Structural hash}
-
-    The substrate of the incremental recomputation layer (see
-    [docs/PERFORMANCE.md], "Incremental recomputation"): an O(1)
-    memoized hash whose {e inequality} certifies table inequality, used
-    by the view/plan caches for fast rejection.  The accumulator is the
-    xor of per-row structural hashes — history-independent, so
-    {!insert}/{!delete} maintain it in O(1) from the parent's; other
-    constructors leave it to be rebuilt lazily.  Cached reads pass
-    through the ["incr.hash"] chaos gate ({!Esm_core.Shash.site}): an
-    injected fault rebuilds from the rows, mirroring the key-index
-    validate-and-rebuild policy. *)
-
-val hash : t -> int
-(** O(1) once memoized (first call is O(n)).  Equal tables hash equal;
-    distinct hashes certify distinct tables; matching hashes must be
-    verified with {!equal}. *)
+val key_index : t -> int list -> Value.t list -> Row.t option
+(** [key_index t key] is a lookup from key tuple (values at the given
+    column positions) to row, backed by an index the table builds on
+    first use in O(n) and memoizes for the same key — O(1) lookups
+    afterwards.  Only the table holds the index.  If the key does not
+    functionally determine rows, later rows win. *)
 
 val equal : t -> t -> bool
-(** Relational equality; short-circuits on physically shared row
-    storage, then on memoized structural hashes that certify
-    inequality, before falling back to the row-wise comparison. *)
+(** Relational equality; short-circuits on physical identity of the
+    tables or of their row storage before the row-wise comparison. *)
 
 val pp : Format.formatter -> t -> unit
 (** ASCII-art rendering with padded columns. *)

@@ -140,9 +140,11 @@ let view_b_uncached (Store s) = s.bx.Concrete.get_b s.state
 
 (* The memoized view-read path: a poll of an unchanged store returns
    the cached materialization in O(1).  The hit path trusts cached
-   bookkeeping, so it passes through the incr.hash chaos gate — an
+   bookkeeping, so it passes through the ["incr.hash"] chaos gate — an
    injected fault bypasses the cache and rematerializes under
    [protected] (a corrupted cache costs work, never a stale view). *)
+let view_cache_site = "incr.hash"
+
 let cached_view (type v) ~(version : int) ~(read : unit -> (int * v) option)
     ~(write : (int * v) option -> unit) ~(materialise : unit -> v) : v =
   let recompute () =
@@ -152,12 +154,12 @@ let cached_view (type v) ~(version : int) ~(read : unit -> (int * v) option)
   in
   match read () with
   | Some (at, v) when at = version -> (
-      match Chaos.point Shash.site with
+      match Chaos.point view_cache_site with
       | () ->
           Stats.hit "store.view";
           v
       | exception exn when Error.degradable_exn exn ->
-          Chaos.note_fallback Shash.site;
+          Chaos.note_fallback view_cache_site;
           Stats.miss "store.view";
           Chaos.protected recompute)
   | _ ->
@@ -317,43 +319,38 @@ let crash (Store s : ('a, 'b, 'da, 'db) t) : unit =
   s.view_cache_a <- None;
   s.view_cache_b <- None
 
+(* One replay step: [step] succeeded once already (as a commit, or as
+   the state a snapshot records), so replay is deterministic — a
+   degradable failure (an injected fault) is noted at
+   ["sync.store.replay"] and the step retried under [protected];
+   genuine programming errors still propagate. *)
+let replay_step (step : unit -> 's) : 's =
+  try step ()
+  with exn when Error.degradable_exn exn ->
+    Chaos.note_fallback "sync.store.replay";
+    Chaos.protected step
+
 (** Recovery by replay: fold the oplog suffix after the snapshot back
-    into the state.  Every replayed entry committed successfully once,
-    so replay is deterministic — a degradable failure (an injected
-    fault, a distrusted index) is absorbed by retrying that entry under
-    {!Esm_core.Chaos.protected}; genuine programming errors still
-    propagate. *)
+    into the state, one {!replay_step} per entry. *)
 let recover (Store s : ('a, 'b, 'da, 'db) t) : unit =
   (try Chaos.point "sync.store.replay"
    with exn when Error.degradable_exn exn ->
      Chaos.note_fallback "sync.store.replay");
   List.iter
     (fun (e : _ Oplog.entry) ->
-      let apply st =
-        apply_op ~bx:s.bx ~apply_da:s.apply_da ~apply_db:s.apply_db
-          e.Oplog.op st
-      in
-      let next =
-        try apply s.state
-        with exn when Error.degradable_exn exn ->
-          Chaos.note_fallback "sync.store.replay";
-          Chaos.protected (fun () -> apply s.state)
-      in
-      s.state <- next;
+      s.state <-
+        replay_step (fun () ->
+            apply_op ~bx:s.bx ~apply_da:s.apply_da ~apply_db:s.apply_db
+              e.Oplog.op s.state);
       s.version <- e.Oplog.version)
     (Oplog.entries_since s.log s.version)
 
 (* Reconstruct a snapshot state from its recorded A view: [set_a a
-   init].  Exact whenever the A view determines the state (every
-   lens-packed store, where the state is the A side); a degradable fault
-   retries under [protected] like any replay step. *)
+   init], as a replay step.  Exact whenever the A view determines the
+   state (every lens-packed store, where the state is the A side). *)
 let s_of_snapshot :
     type s. bx:('a, 'b, s) Concrete.set_bx -> init:s -> 'a -> s =
- fun ~bx ~init a ->
-  try bx.Concrete.set_a a init
-  with exn when Error.degradable_exn exn ->
-    Chaos.note_fallback "sync.store.replay";
-    Chaos.protected (fun () -> bx.Concrete.set_a a init)
+ fun ~bx ~init a -> replay_step (fun () -> bx.Concrete.set_a a init)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot-anchored compaction                                        *)
@@ -437,20 +434,12 @@ let follower_apply (Follower f : ('a, 'b, 'da, 'db) follower)
       "entry version %d does not follow replica version %d" e.Oplog.version
       f.version
   else begin
-    let apply st =
-      apply_op ~bx:f.bx ~apply_da:f.apply_da ~apply_db:f.apply_db e.Oplog.op
-        st
-    in
     (* like {!recover}: every gossiped entry committed once at its home
-       shard, so replay is deterministic — degradable faults retry under
-       [protected] *)
-    let next =
-      try apply f.state
-      with exn when Error.degradable_exn exn ->
-        Chaos.note_fallback "sync.store.replay";
-        Chaos.protected (fun () -> apply f.state)
-    in
-    f.state <- next;
+       shard *)
+    f.state <-
+      replay_step (fun () ->
+          apply_op ~bx:f.bx ~apply_da:f.apply_da ~apply_db:f.apply_db
+            e.Oplog.op f.state);
     f.version <- e.Oplog.version
   end
 
@@ -471,6 +460,20 @@ let reopen ?(name = "store") ?snapshot_every ?apply_da ?apply_db
     ~(codec : ('a, 'b, 'da, 'db) op_codec) ~(dir : string)
     (Concrete.Packed repr : ('a, 'b) Concrete.packed) :
     (('a, 'b, 'da, 'db) t, Error.t) result =
+  let detail exn =
+    match Error.of_exn exn with
+    | Some e -> Error.message e
+    | None -> Printexc.to_string exn
+  in
+  (* the snapshot state a recorded A view stands for *)
+  let seed_of payload =
+    match
+      s_of_snapshot ~bx:repr.Concrete.bx ~init:repr.Concrete.init
+        (codec.decode_a payload)
+    with
+    | st -> Ok st
+    | exception exn when Error.is_bx_exn exn -> Error (detail exn)
+  in
   match Durable_log.load ~dir with
   | Error e -> Error e
   | Ok { Durable_log.entries; snapshot; valid_bytes; horizon; _ } -> (
@@ -485,14 +488,9 @@ let reopen ?(name = "store") ?snapshot_every ?apply_da ?apply_db
           entries
       with
       | exception exn when Error.is_bx_exn exn ->
-          let detail =
-            match Error.of_exn exn with
-            | Some e -> Error.message e
-            | None -> Printexc.to_string exn
-          in
           Error
             (Error.v Error.Corrupt ~op:"reopen"
-               ("undecodable entry payload: " ^ detail))
+               ("undecodable entry payload: " ^ detail exn))
       | decoded -> (
           (* where the oplog restarts.  A full-history log (horizon 0)
              replays from the snapshot state when one is usable
@@ -523,18 +521,9 @@ let reopen ?(name = "store") ?snapshot_every ?apply_da ?apply_db
                            cannot recover"
                           horizon sv))
               | Some (sv, payload) -> (
-                  match
-                    let a = codec.decode_a payload in
-                    s_of_snapshot ~bx:repr.Concrete.bx
-                      ~init:repr.Concrete.init a
-                  with
-                  | st -> Ok (sv, sv, st)
-                  | exception exn when Error.is_bx_exn exn ->
-                      let detail =
-                        match Error.of_exn exn with
-                        | Some e -> Error.message e
-                        | None -> Printexc.to_string exn
-                      in
+                  match seed_of payload with
+                  | Ok st -> Ok (sv, sv, st)
+                  | Error detail ->
                       Error
                         (Error.v Error.Corrupt ~op:"reopen"
                            (Printf.sprintf
@@ -548,13 +537,9 @@ let reopen ?(name = "store") ?snapshot_every ?apply_da ?apply_db
               in
               match snapshot with
               | Some (v, payload) when v > 0 && v <= head -> (
-                  match
-                    let a = codec.decode_a payload in
-                    s_of_snapshot ~bx:repr.Concrete.bx
-                      ~init:repr.Concrete.init a
-                  with
-                  | st -> Ok (0, v, st)
-                  | exception exn when Error.is_bx_exn exn ->
+                  match seed_of payload with
+                  | Ok st -> Ok (0, v, st)
+                  | Error _ ->
                       Chaos.note_fallback "sync.store.replay";
                       Ok (0, 0, repr.Concrete.init))
               | _ -> Ok (0, 0, repr.Concrete.init)
@@ -605,11 +590,6 @@ let reopen ?(name = "store") ?snapshot_every ?apply_da ?apply_db
           | () -> Ok store
           | exception exn when Error.is_bx_exn exn ->
               Durable_log.close writer;
-              let detail =
-                match Error.of_exn exn with
-                | Some e -> Error.message e
-                | None -> Printexc.to_string exn
-              in
               Error
                 (Error.v Error.Corrupt ~op:"reopen"
-                   ("replay failed: " ^ detail)))))
+                   ("replay failed: " ^ detail exn)))))

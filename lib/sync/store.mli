@@ -193,8 +193,8 @@ val crash : ('a, 'b, 'da, 'db) t -> unit
 
 val recover : ('a, 'b, 'da, 'db) t -> unit
 (** Recovery by replay: fold the oplog suffix after the snapshot back
-    into the state.  Degradable failures (injected faults, distrusted
-    indexes) are absorbed by retrying under
+    into the state.  Degradable failures (injected faults) are absorbed
+    by retrying under
     {!Esm_core.Chaos.protected} — every replayed entry committed
     successfully once, so recovery reproduces the pre-crash state. *)
 

@@ -4,11 +4,12 @@
       into the typed taxonomy;
     - {!Esm_core.Atomic}: all-or-nothing sets — any failure (genuine
       shape error or injected fault) rolls the state back to the
-      pre-call snapshot, and leaves the memoized table indexes valid;
+      pre-call snapshot, and a later fault-free put on it is unaffected;
     - {!Esm_core.Chaos}: deterministic seed-keyed fault injection;
-    - delta-path graceful degradation: under injected faults (and after
-      outright index corruption) [Rlens.put_delta] and [Mbx.fwd_delta]
-      still agree with the full put/fwd oracle by falling back.
+    - delta-path graceful degradation: under injected faults
+      [Rlens.put_delta] and [Mbx.fwd_delta] still agree with the full
+      put/fwd oracle by falling back, and a fault while a key index is
+      built leaves no partial index behind.
 
     The chaos seed is taken from the [CHAOS_SEED] environment variable
     when set (the CI chaos job runs the suite under several fixed
@@ -241,8 +242,8 @@ let gen_source_and_view : (Rel.Table.t * Rel.Table.t) QCheck.arbitrary =
           Rel.Workload.engineering_view ~seed:vseed ~size:vsize ))
 
 (* (a) through [atomic], an injected fault leaves the state equal to the
-   snapshot, memoized indexes valid, and the update replayable; without
-   a fault the transactional run equals the fault-free oracle. *)
+   snapshot and the update replayable; without a fault the
+   transactional run equals the fault-free oracle. *)
 let atomic_rollback_prop (source, view) =
   let bx = Concrete.of_lens eng_view_lens in
   let oracle = Lens.put eng_view_lens source view in
@@ -252,13 +253,19 @@ let atomic_rollback_prop (source, view) =
   | Ok s' -> Rel.Table.equal s' oracle
   | Error e ->
       Error.is_fault e
-      && Rel.Table.validate_indexes source
       && Rel.Table.equal (Lens.put eng_view_lens source view) oracle
 
-(* Satellite wording: every Shape_error raised under chaos leaves the
-   state equal to the pre-call snapshot through [atomic].  The view
-   deliberately violates the selection predicate, so the fault-free
-   outcome is itself a shape error. *)
+(* The fault-free outcome of a put: [None] when it raises a bx error. *)
+let put_outcome lens source view =
+  match Lens.put lens source view with
+  | t -> Some t
+  | exception e when Error.is_bx_exn e -> None
+
+(* Every Shape_error raised under chaos leaves the state equal to the
+   pre-call snapshot through [atomic]: a fault-free put on it behaves as
+   on a fresh copy of its rows.  The view deliberately violates the
+   selection predicate, so the fault-free outcome is itself a shape
+   error. *)
 let atomic_shape_error_prop (source, bad_view) =
   let bx = Concrete.of_lens eng_select_lens in
   let c = case_chaos ~rate:0.05 () in
@@ -274,7 +281,12 @@ let atomic_shape_error_prop (source, bad_view) =
         (Lens.put eng_select_lens source bad_view)
   | Error e ->
       (e.Error.kind = Error.Shape || Error.is_fault e)
-      && Rel.Table.validate_indexes source
+      && Option.equal Rel.Table.equal
+           (put_outcome eng_select_lens source bad_view)
+           (put_outcome eng_select_lens
+              (Rel.Table.of_rows (Rel.Table.schema source)
+                 (Rel.Table.rows source))
+              bad_view)
 
 (* (b) delta-path fallback: under injected faults, [put_delta] equals
    the full put oracle (computed fault-free). *)
@@ -349,7 +361,7 @@ let relational_chaos_tests =
       ~name:"atomic set_b under chaos: commit equals oracle, faults roll back"
       gen_source_and_view atomic_rollback_prop;
     QCheck.Test.make ~count:150
-      ~name:"shape errors under chaos roll back and keep indexes valid"
+      ~name:"shape errors under chaos roll back to a reusable snapshot"
       (QCheck.pair gen_source gen_source)
       atomic_shape_error_prop;
     QCheck.Test.make ~count:150
@@ -362,104 +374,54 @@ let relational_chaos_tests =
       (delta_fallback_prop dl_pipeline);
   ]
 
-(* Outright index corruption (no chaos): the checked index detects it,
-   put_delta falls back to the oracle, and the corrupt memo is dropped.
-   A project-only pipeline is used so the project stage's translate
-   consults the base table's memo directly (under [dcompose], an inner
-   stage's translate reads the memoized intermediate table instead; the
-   next test corrupts that one). *)
+(* A fault at [table.key_index] fires before the index is built, so the
+   table memoizes nothing: [put_delta] falls back to the full put, and a
+   later fault-free [put_delta] on the same source builds a complete
+   index.  The project-only pipeline consults the source's own index;
+   under [dcompose] the project stage consults the index of the
+   memoized intermediate table instead. *)
 let dl_project : Rel.Rlens.dlens =
   Rel.Query.dlens_of_string ~schema ~key {|employees | select id, name, dept|}
 
-let index_corruption_tests =
-  [
-    test "corrupted memoized index degrades to the full put" `Quick
-      (fun () ->
-        let source = Rel.Workload.employees ~seed:5 ~size:12 in
-        let deltas = [ Rel.Row_delta.Add (fresh_view_row 1) ] in
-        let oracle =
-          let view = Lens.get dl_project.Rel.Rlens.lens source in
-          Lens.put dl_project.Rel.Rlens.lens source
-            (Rel.Row_delta.apply_all view deltas)
-        in
-        (* warm the memo, then corrupt it behind the table's back *)
-        let id_pos = Rel.Schema.index schema "id" in
-        let idx = Rel.Table.key_index source [ id_pos ] in
-        Hashtbl.reset idx;
-        check Alcotest.bool "corruption detectable" false
-          (Rel.Table.validate_indexes source);
-        let before = Chaos.fallbacks_total () in
-        let result = Rel.Rlens.put_delta dl_project source deltas in
-        check Helpers.table "fallback equals oracle" oracle result;
-        check Alcotest.bool "fallback recorded" true
-          (Chaos.fallbacks_total () > before);
-        (* revalidation dropped the corrupt memo: it is rebuilt healthy *)
-        check Alcotest.bool "memo healthy again" true
-          (Rel.Table.validate_indexes source));
-    test "a corrupted intermediate index under dcompose degrades to a \
-          fresh full put" `Quick (fun () ->
-        (* the outer stage copies the source and hands the copy to the
-           test, so the test holds the intermediate table that the
-           composition memoizes *)
-        let held = ref None in
-        let copy =
-          {
-            Rel.Rlens.lens =
-              Lens.v ~name:"copy"
-                ~get:(fun s ->
-                  let c = Rel.Table.filter (fun _ -> true) s in
-                  held := Some c;
-                  c)
-                ~put:(fun _ v -> v)
-                ();
-            translate = (fun _ ds -> ds);
-            pedigree = Pedigree.Identity;
-          }
-        in
-        let project () =
-          Rel.Rlens.dproject ~keep:[ "id"; "name"; "dept" ] ~key schema
-        in
-        let source = Rel.Workload.employees ~seed:5 ~size:12 in
-        (* rename an existing row: its dropped columns must be restored
-           from the old row through the key index *)
-        let old_row =
-          List.hd (Rel.Table.rows (Lens.get dl_project.lens source))
-        in
-        let new_row = Array.copy old_row in
-        new_row.(1) <- Rel.Value.Str "renamed";
-        let deltas =
-          [ Rel.Row_delta.Remove old_row; Rel.Row_delta.Add new_row ]
-        in
-        let oracle =
-          let fresh = Rel.Rlens.dcompose copy (project ()) in
-          let view = Lens.get fresh.lens source in
-          Lens.put fresh.lens source (Rel.Row_delta.apply_all view deltas)
-        in
-        let dl = Rel.Rlens.dcompose copy (project ()) in
-        ignore (Lens.get dl.lens source);
-        let mid = Option.get !held in
-        let id_pos = Rel.Schema.index schema "id" in
-        Hashtbl.reset (Rel.Table.key_index mid [ id_pos ]);
-        check Alcotest.bool "corruption detectable" false
-          (Rel.Table.validate_indexes mid);
-        let before = Chaos.fallbacks_total () in
-        let result = Rel.Rlens.put_delta dl source deltas in
-        check Alcotest.bool "fallback recorded" true
-          (Chaos.fallbacks_total () > before);
-        check Helpers.table "fallback equals oracle" oracle result);
-    test "revalidate_indexes reports and repairs" `Quick (fun () ->
-        let t = Rel.Workload.employees ~seed:9 ~size:10 in
-        let id_pos = Rel.Schema.index schema "id" in
-        check Alcotest.bool "fresh memo is healthy" true
-          (ignore (Rel.Table.key_index t [ id_pos ]);
-           Rel.Table.revalidate_indexes t);
-        Hashtbl.reset (Rel.Table.key_index t [ id_pos ]);
-        check Alcotest.bool "corrupt memo reported" false
-          (Rel.Table.revalidate_indexes t);
-        check Alcotest.bool "rebuilt on next use" true
-          (ignore (Rel.Table.key_index t [ id_pos ]);
-           Rel.Table.validate_indexes t));
-  ]
+let key_index_fault_tests =
+  List.map
+    (fun (label, (dl : Rel.Rlens.dlens)) ->
+      test
+        ("a table.key_index fault leaves no partial index memoized ("
+       ^ label ^ ")")
+        `Quick (fun () ->
+          let source = Rel.Workload.employees ~seed:5 ~size:12 in
+          (* rename an existing view row: its dropped columns must be
+             restored from the old row through the key index *)
+          let old_row =
+            match Rel.Table.rows (Lens.get dl.lens source) with
+            | r :: _ -> r
+            | [] -> Alcotest.fail "empty view"
+          in
+          let new_row = Array.copy old_row in
+          new_row.(1) <- Rel.Value.Str "renamed";
+          let deltas =
+            [ Rel.Row_delta.Remove old_row; Rel.Row_delta.Add new_row ]
+          in
+          let full_put =
+            let fresh = Rel.Table.of_rows schema (Rel.Table.rows source) in
+            let view = Lens.get dl.lens fresh in
+            Lens.put dl.lens fresh (Rel.Row_delta.apply_all view deltas)
+          in
+          let c = Chaos.make ~rate:1.0 ~seed:chaos_seed () in
+          let before = Chaos.fallbacks_total () in
+          let faulted =
+            Chaos.with_chaos c (fun () ->
+                Chaos.at_sites [ "table.key_index" ] (fun () ->
+                    Rel.Rlens.put_delta dl source deltas))
+          in
+          check Alcotest.bool "fault fired" true (Chaos.injected c > 0);
+          check Alcotest.bool "fallback recorded" true
+            (Chaos.fallbacks_total () > before);
+          check Helpers.table "faulted put_delta = full put" full_put faulted;
+          check Helpers.table "fault-free put_delta = full put" full_put
+            (Rel.Rlens.put_delta dl source deltas)))
+    [ ("select", dl_project); ("where|select", dl_pipeline) ]
 
 (* The served store's B-side commit runs [put_delta] behind
    [Query.lens_of_string]: a fault injected in the project stage's
@@ -548,4 +510,4 @@ let mde_chaos_tests =
 let suite =
   error_tests @ chaos_tests @ atomic_tests
   @ Helpers.q (relational_chaos_tests @ mde_chaos_tests)
-  @ index_corruption_tests @ served_fallback_tests
+  @ key_index_fault_tests @ served_fallback_tests

@@ -1,18 +1,16 @@
-(** Incremental recomputation suite: the reactive layer and the caches
-    wired through the hot paths (see [docs/PERFORMANCE.md]).
+(** Incremental recomputation suite: the caches wired through the hot
+    paths (see [docs/PERFORMANCE.md]).
 
-    - {!Esm_relational.Table.hash}: incrementally maintained across
-      insert/delete, consistent with a from-scratch rebuild;
     - {!Esm_relational.Query.to_dlens}: the plan cache is transparent —
       a memo hit carries exactly the pedigree (and inferred law level)
       of a cold compile, for every catalog entry with a plan;
     - {!Esm_relational.Rlens.last_of} and the {!Esm_sync.Store} /
       {!Esm_sync.Session} caches: memoized reads/polls equal the
       unmemoized reference on randomized edit scripts, including the
-      net-zero (backdating) case and across crash/recover;
-    - chaos at the ["incr.hash"] site: a poisoned or fault-injected
-      cache degrades to a full recomputation — extra misses, never a
-      stale value.
+      net-zero case and across crash/recover;
+    - chaos at the store's ["incr.hash"] view-cache gate: a
+      fault-injected cache hit degrades to a full recomputation — extra
+      misses, never a stale value.
 
     Like the chaos suite, the base seed comes from [CHAOS_SEED] when
     set, and each property case derives its own instance seed. *)
@@ -38,12 +36,6 @@ let case_chaos ~rate () =
   incr next_case;
   Chaos.make ~rate ~seed:(chaos_seed + (1000 * !next_case)) ()
 
-(* ------------------------------------------------------------------ *)
-(* Table structural hash                                               *)
-(* ------------------------------------------------------------------ *)
-
-let rebuilt_hash t = Rel.Table.(hash (of_rows (schema t) (rows t)))
-
 let base_row i name dept =
   Rel.Row.of_list
     [
@@ -53,55 +45,6 @@ let base_row i name dept =
       Rel.Value.Int 50_000;
       Rel.Value.Str (name ^ "@example.com");
     ]
-
-let table_hash_tests =
-  [
-    test "the incremental hash matches a from-scratch rebuild" `Quick
-      (fun () ->
-        let t = ref (Rel.Workload.employees ~seed:5 ~size:16) in
-        ignore (Rel.Table.hash !t);
-        let fresh = ref 9_000 in
-        for step = 1 to 40 do
-          (if step mod 3 = 0 then
-             match Rel.Table.rows !t with
-             | [] -> ()
-             | rows ->
-                 t := Rel.Table.delete !t (List.nth rows (step mod List.length rows))
-           else (
-             incr fresh;
-             t :=
-               Rel.Table.insert !t
-                 (base_row !fresh
-                    (Printf.sprintf "w%d" step)
-                    (if step mod 2 = 0 then "Engineering" else "Sales"))));
-          check Alcotest.int
-            (Printf.sprintf "step %d" step)
-            (rebuilt_hash !t) (Rel.Table.hash !t)
-        done);
-  ]
-
-let table_hash_props =
-  [
-    QCheck.Test.make ~count:100
-      ~name:"equal tables hash equal (row order notwithstanding)"
-      QCheck.(pair (int_bound 1000) (int_range 0 24))
-      (fun (seed, size) ->
-        let t = Rel.Workload.employees ~seed ~size in
-        let t' =
-          Rel.Table.of_rows (Rel.Table.schema t)
-            (List.rev (Rel.Table.rows t))
-        in
-        Rel.Table.equal t t' && Rel.Table.hash t = Rel.Table.hash t');
-    QCheck.Test.make ~count:100
-      ~name:"a differing hash implies inequality (rejection is sound)"
-      QCheck.(pair (int_bound 1000) (int_bound 1000))
-      (fun (s1, s2) ->
-        let t1 = Rel.Workload.employees ~seed:s1 ~size:12 in
-        let t2 = Rel.Workload.employees ~seed:s2 ~size:12 in
-        if Rel.Table.hash t1 <> Rel.Table.hash t2 then
-          not (Rel.Table.equal t1 t2)
-        else true);
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* Plan cache: memoization and law-level parity                        *)
@@ -347,6 +290,5 @@ let chaos_tests =
 (* ------------------------------------------------------------------ *)
 
 let suite =
-  table_hash_tests @ plan_cache_tests @ rlens_memo_tests
-  @ chaos_tests
-  @ Helpers.q (table_hash_props @ store_oracle_props)
+  plan_cache_tests @ rlens_memo_tests @ chaos_tests
+  @ Helpers.q store_oracle_props

@@ -604,7 +604,7 @@ let core_tests =
            the memo sees new tables *)
         let chaos = Chaos.make ~rate:1.0 ~seed:chaos_seed () in
         Chaos.with_chaos chaos (fun () ->
-            Chaos.at_sites [ Shash.site ] (fun () ->
+            Chaos.at_sites [ "incr.hash" ] (fun () ->
                 gets "under incr.hash faults";
                 add_b 990;
                 gets "under incr.hash faults, after a commit"));
