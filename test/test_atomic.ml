@@ -423,6 +423,44 @@ let key_index_fault_tests =
             (Rel.Rlens.put_delta dl source deltas)))
     [ ("select", dl_project); ("where|select", dl_pipeline) ]
 
+(* The same two guarantees on the table itself: a faulted build
+   memoizes nothing, so the next build is complete; a completed build is
+   memoized, so a later lookup on that key visits no chaos point. *)
+let lookup_agrees lookup key t =
+  Rel.Table.for_all
+    (fun r ->
+      match lookup (Rel.Table.key_of_row key r) with
+      | Some r' -> Rel.Row.equal r r'
+      | None -> false)
+    t
+
+let key_index_memo_tests =
+  let id_key = [ Rel.Schema.index schema "id" ] in
+  let under_faults c f =
+    Chaos.with_chaos c (fun () -> Chaos.at_sites [ "table.key_index" ] f)
+  in
+  [
+    test "a faulted key_index build is retried in full" `Quick (fun () ->
+        let t = Rel.Workload.employees ~seed:9 ~size:10 in
+        let c = Chaos.make ~rate:1.0 ~seed:chaos_seed () in
+        (match under_faults c (fun () -> Rel.Table.key_index t id_key) with
+        | (_ : Rel.Value.t list -> Rel.Row.t option) ->
+            Alcotest.fail "no fault injected"
+        | exception e when Error.is_bx_exn e -> ());
+        check Alcotest.bool "fault fired" true (Chaos.injected c > 0);
+        check Alcotest.bool "rebuilt lookup is complete" true
+          (lookup_agrees (Rel.Table.key_index t id_key) id_key t));
+    test "a built key_index is memoized past the chaos point" `Quick
+      (fun () ->
+        let t = Rel.Workload.employees ~seed:9 ~size:10 in
+        let _warm = Rel.Table.key_index t id_key in
+        let c = Chaos.make ~rate:1.0 ~seed:chaos_seed () in
+        let lookup = under_faults c (fun () -> Rel.Table.key_index t id_key) in
+        check Alcotest.int "no fault on a memo hit" 0 (Chaos.injected c);
+        check Alcotest.bool "memoized lookup is complete" true
+          (lookup_agrees lookup id_key t));
+  ]
+
 (* The served store's B-side commit runs [put_delta] behind
    [Query.lens_of_string]: a fault injected in the project stage's
    translate must degrade that commit to the full put, not fail it. *)
@@ -510,4 +548,4 @@ let mde_chaos_tests =
 let suite =
   error_tests @ chaos_tests @ atomic_tests
   @ Helpers.q (relational_chaos_tests @ mde_chaos_tests)
-  @ key_index_fault_tests @ served_fallback_tests
+  @ key_index_fault_tests @ key_index_memo_tests @ served_fallback_tests

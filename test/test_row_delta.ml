@@ -264,6 +264,64 @@ let table_primitive_tests =
             | None -> false)
           (rows_of t)
         && lookup [ Value.Int (-1) ] = None);
+    QCheck.Test.make ~count:250 ~name:"key_index memoizes each key apart"
+      gen_table
+      (fun t ->
+        let id = [ Schema.index schema "id" ] in
+        let id_name = id @ [ Schema.index schema "name" ] in
+        let agrees key =
+          let lookup = Table.key_index t key in
+          List.for_all
+            (fun r -> Option.equal Row.equal (lookup (Table.key_of_row key r)) (Some r))
+            (rows_of t)
+        in
+        agrees id && agrees id_name && agrees id);
+    QCheck.Test.make ~count:100
+      ~name:"equal tables are equal whatever their row order"
+      gen_table
+      (fun t ->
+        Table.equal t (Table.of_rows schema (List.rev (rows_of t))));
+    QCheck.Test.make ~count:100 ~name:"equal agrees with row-list equality"
+      gen_table_pair
+      (fun (t1, t2) ->
+        Table.equal t1 t2 = List.equal Row.equal (rows_of t1) (rows_of t2));
+    QCheck.Test.make ~count:100
+      ~name:"an edited table's key_index is its own, not its parent's"
+      gen_table
+      (fun t ->
+        let key = [ Schema.index schema "id" ] in
+        let t = ref t and ok = ref true in
+        for step = 1 to 20 do
+          (* warm the parent's index so a carried-over memo would show *)
+          let _warm = Table.key_index !t key in
+          let gone =
+            if step mod 3 = 0 then (
+              match rows_of !t with
+              | [] -> None
+              | rows ->
+                  let r = List.nth rows (step mod List.length rows) in
+                  t := Table.delete !t r;
+                  Some r)
+            else (
+              t :=
+                Table.insert !t
+                  (fresh_row ~id:step
+                     ~dept:(if step mod 2 = 0 then "Engineering" else "Sales"));
+              None)
+          in
+          let lookup = Table.key_index !t key in
+          ok :=
+            !ok
+            && Table.equal !t (Table.of_rows schema (rows_of !t))
+            && Table.for_all
+                 (fun r ->
+                   Option.equal Row.equal (lookup (Table.key_of_row key r)) (Some r))
+                 !t
+            && Option.fold ~none:true
+                 ~some:(fun r -> lookup (Table.key_of_row key r) = None)
+                 gone
+        done;
+        !ok);
   ]
 
 (* ------------------------------------------------------------------ *)
